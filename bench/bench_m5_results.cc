@@ -92,6 +92,27 @@ void FillRecord(ReplicationRecord& r, uint64_t rep, Rng& rng, bool with_hist) {
   }
 }
 
+// The campaign engine's --binary-out path as one record consumer: records
+// stream into the point's GroupEncoder, and the finished group goes to the
+// file writer, exactly as the engine hands it over.
+class BinarySink final : public ResultConsumer {
+ public:
+  BinarySink(std::ostream& out, uint64_t rows) : encoder_(0, 1, {}, rows), writer_(out) {}
+
+  void BeginCampaign(const CampaignManifest& manifest) override {
+    writer_.BeginSweep({manifest.scenario, manifest.base_seed, manifest.replications, {}, 1, 1});
+  }
+  void OnRecord(const ReplicationRecord& record) override { encoder_.OnRecord(record); }
+  void EndCampaign() override {
+    writer_.OnPointDone({}, {}, encoder_.Finish());
+    writer_.EndSweep();
+  }
+
+ private:
+  GroupEncoder encoder_;
+  BinaryResultsWriter writer_;
+};
+
 struct SinkRun {
   uint64_t bytes = 0;
   double secs = 0.0;
@@ -160,8 +181,8 @@ int Run(int argc, char** argv) {
                     static_cast<unsigned long long>(rows));
       SinkRun bin{};
       harness.Bench(name, [rows, with_hist, &bin] {
-        bin = RunSink(rows, with_hist, [](std::ostream& out) {
-          return std::make_unique<BinaryCampaignWriter>(out, /*streamed=*/true);
+        bin = RunSink(rows, with_hist, [rows](std::ostream& out) {
+          return std::make_unique<BinarySink>(out, rows);
         });
         return rows;
       });

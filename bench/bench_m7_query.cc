@@ -63,15 +63,17 @@ bool WriteCampaignFile(const std::string& path, const std::string& scenario, uin
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return false;
   }
-  BinaryCampaignWriter writer(out, /*streamed=*/true);
-  writer.BeginCampaign({scenario, 1, rows});
+  GroupEncoder encoder(0, 1, {}, rows);
   Rng rng(42);
   ReplicationRecord record;
   for (uint64_t rep = 0; rep < rows; ++rep) {
     FillRecord(record, rep, rng);
-    writer.OnRecord(record);
+    encoder.OnRecord(record);
   }
-  writer.EndCampaign();
+  BinaryResultsWriter writer(out);
+  writer.BeginSweep({scenario, 1, rows, {}, 1, 1});
+  writer.OnPointDone({}, {}, encoder.Finish());
+  writer.EndSweep();
   return static_cast<bool>(out);
 }
 

@@ -25,12 +25,6 @@
 
 namespace wlansim {
 
-// Creates the requested rate controller by name; nullptr for "fixed".
-inline std::unique_ptr<RateController> MakeController(const std::string& name,
-                                                      PhyStandard standard, Rng rng) {
-  return MakeRateController(name, standard, rng);
-}
-
 inline void PrintTable(const std::string& title, const Table& table, int argc, char** argv) {
   bool csv = false;
   for (int i = 1; i < argc; ++i) {

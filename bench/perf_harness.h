@@ -1,10 +1,11 @@
 // A small in-tree perf harness for the engine microbenchmarks, replacing the
 // google-benchmark dependency on the hot-path benches. Each benchmark is a
 // callable that performs one timed batch of work and returns the number of
-// items it processed; the harness repeats it, stores per-repetition metrics
-// in a ResultSink, and emits the same aggregate statistics (mean / stddev /
-// CI / P50 / P95) and long-format CSV the campaign engine produces — so the
-// repo measures its own speedups with its own reporting machinery.
+// items it processed; the harness repeats it, folds the per-repetition
+// samples with the campaign engine's own AggregateScalarSamples, and emits
+// the same aggregate statistics (mean / stddev / CI / P50 / P95) and
+// long-format CSV the engine produces — so the repo measures its own
+// speedups with its own reporting machinery.
 
 #ifndef WLANSIM_BENCH_PERF_HARNESS_H_
 #define WLANSIM_BENCH_PERF_HARNESS_H_
@@ -16,6 +17,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -93,23 +95,25 @@ class PerfHarness {
     if (args_.warmup) {
       (void)fn();  // touch caches and lazy allocations outside the timing
     }
-    ResultSink sink(args_.reps);
+    // Per-metric samples in repetition order; a metric a repetition does
+    // not report (no items) aggregates over the repetitions that do.
+    std::map<std::string, std::vector<double>> samples;
     for (uint64_t rep = 0; rep < args_.reps; ++rep) {
       const auto start = std::chrono::steady_clock::now();
       const uint64_t items = fn();
       const auto end = std::chrono::steady_clock::now();
       const double secs = std::chrono::duration<double>(end - start).count();
-      ReplicationResult r;
-      r.metrics["wall_ms"] = secs * 1e3;
+      samples["wall_ms"].push_back(secs * 1e3);
       if (items > 0) {
-        r.metrics["ns_per_item"] = secs * 1e9 / static_cast<double>(items);
-        r.metrics["items_per_sec"] = static_cast<double>(items) / secs;
+        samples["ns_per_item"].push_back(secs * 1e9 / static_cast<double>(items));
+        samples["items_per_sec"].push_back(static_cast<double>(items) / secs);
       }
-      sink.Store(rep, std::move(r));
     }
     SweepRow row;
     row.param_values = {name};
-    row.aggregates = sink.Aggregate();
+    for (const auto& [metric, values] : samples) {
+      row.aggregates.push_back(AggregateScalarSamples(metric, values));
+    }
     rows_.push_back(std::move(row));
   }
 
@@ -146,7 +150,7 @@ class PerfHarness {
         std::fprintf(stderr, "cannot write %s\n", args_.csv.c_str());
         return 1;
       }
-      out << ResultSink::SweepLongCsv({"bench"}, rows_);
+      out << SweepLongCsv({"bench"}, rows_);
       std::printf("wrote %s\n", args_.csv.c_str());
     }
     return 0;

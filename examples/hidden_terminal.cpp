@@ -10,25 +10,25 @@
 
 #include <cstdio>
 
-#include "runner/campaign.h"
+#include "runner/sweep.h"
 #include "stats/table.h"
 
 using namespace wlansim;
 
 namespace {
 
-CampaignResult RunAccess(bool rtscts) {
-  CampaignOptions options;
+std::vector<MetricAggregate> RunAccess(bool rtscts) {
+  SweepOptions options;  // no sweep axes: a plain campaign
   options.scenario = "hidden_terminal";
-  options.params.Set("rtscts", rtscts ? "true" : "false");
+  options.base_params.Set("rtscts", rtscts ? "true" : "false");
   options.base_seed = 99;
   options.replications = 5;
   options.jobs = 0;  // all hardware threads
-  return RunCampaign(options);
+  return RunSweepCampaign(options).points.front().aggregates;
 }
 
-double Mean(const CampaignResult& r, const std::string& metric) {
-  for (const MetricAggregate& a : r.aggregates) {
+double Mean(const std::vector<MetricAggregate>& aggregates, const std::string& metric) {
+  for (const MetricAggregate& a : aggregates) {
     if (a.metric == metric) {
       return a.mean;
     }
@@ -42,8 +42,8 @@ int main() {
   std::printf("topology:  A (x=+50) --70dB-->  R (x=0)  <--70dB-- B (x=-50)\n");
   std::printf("           A and B share no link: each is hidden from the other.\n\n");
 
-  const CampaignResult basic = RunAccess(false);
-  const CampaignResult rts = RunAccess(true);
+  const std::vector<MetricAggregate> basic = RunAccess(false);
+  const std::vector<MetricAggregate> rts = RunAccess(true);
 
   Table table({"access", "agg_goodput_mbps", "retry_%", "cts_timeouts", "frames_dropped"});
   table.AddRow({"basic (CSMA only)", Table::Num(Mean(basic, "goodput_mbps"), 2),

@@ -12,8 +12,8 @@
 
 #include "net/network.h"
 #include "rate/minstrel.h"
-#include "runner/campaign.h"
 #include "runner/scenario_registry.h"
+#include "runner/sweep.h"
 #include "stats/table.h"
 
 using namespace wlansim;
@@ -101,21 +101,21 @@ int main() {
       "home_wlan", "One WPA2 802.11g router serving four mixed-traffic home devices",
       /*param_specs=*/{}, RunHomeWlan);
 
-  CampaignOptions options;
+  SweepOptions options;  // no sweep axes: a plain campaign
   options.scenario = "home_wlan";
   options.base_seed = 7;
   options.replications = 5;
   options.jobs = 0;  // all hardware threads
 
-  const CampaignResult result = RunCampaign(options);
+  const SweepResult result = RunSweepCampaign(options);
 
   Table table({"metric", "mean", "ci95_half", "min", "max"});
-  for (const MetricAggregate& a : result.aggregates) {
+  for (const MetricAggregate& a : result.points.front().aggregates) {
     table.AddRow({a.metric, Table::Num(a.mean, 3), Table::Num(a.ci95_half, 3),
                   Table::Num(a.min, 3), Table::Num(a.max, 3)});
   }
   std::fputs(table.ToString().c_str(), stdout);
   std::printf("\n%llu replications; printer associated as 802.11b legacy device\n",
-              static_cast<unsigned long long>(result.replications.size()));
+              static_cast<unsigned long long>(result.replications));
   return 0;
 }

@@ -11,7 +11,7 @@
 
 #include "net/network.h"
 #include "rate/minstrel.h"
-#include "runner/campaign.h"
+#include "runner/sweep.h"
 
 using namespace wlansim;
 
@@ -42,17 +42,17 @@ int main() {
               flow != nullptr ? flow->delay_us.mean() / 1000.0 : 0.0);
 
   // --- Part 2: the same experiment as a campaign -------------------------
-  CampaignOptions options;
+  // A campaign is the run engine's grid with no sweep axes.
+  SweepOptions options;
   options.scenario = "saturation";
-  options.params.Set("standard", "11g");
-  options.params.Set("distance", "20");
+  options.base_params.Set("standard", "11g");
+  options.base_params.Set("distance", "20");
   options.replications = 4;
   options.jobs = 0;  // all hardware threads
-  const CampaignResult campaign = RunCampaign(options);
+  const SweepResult campaign = RunSweepCampaign(options);
   std::printf("campaign: %llu replications of '%s'\n",
-              static_cast<unsigned long long>(campaign.replications.size()),
-              campaign.scenario.c_str());
-  for (const MetricAggregate& a : campaign.aggregates) {
+              static_cast<unsigned long long>(campaign.replications), campaign.scenario.c_str());
+  for (const MetricAggregate& a : campaign.points.front().aggregates) {
     std::printf("  %-14s %.3f ± %.3f\n", a.metric.c_str(), a.mean, a.ci95_half);
   }
   return 0;

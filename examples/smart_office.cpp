@@ -14,8 +14,8 @@
 #include <cstdio>
 
 #include "net/network.h"
-#include "runner/campaign.h"
 #include "runner/scenario_registry.h"
+#include "runner/sweep.h"
 #include "stats/table.h"
 
 using namespace wlansim;
@@ -111,16 +111,16 @@ int main() {
       "EDCA voice + bulk contention plus a power-saving sensor with energy accounting",
       /*param_specs=*/{}, RunSmartOffice);
 
-  CampaignOptions options;
+  SweepOptions options;  // no sweep axes: a plain campaign
   options.scenario = "smart_office";
   options.base_seed = 42;
   options.replications = 5;
   options.jobs = 0;  // all hardware threads
 
-  const CampaignResult result = RunCampaign(options);
+  const SweepResult result = RunSweepCampaign(options);
 
   Table table({"metric", "mean", "ci95_half", "min", "max"});
-  for (const MetricAggregate& a : result.aggregates) {
+  for (const MetricAggregate& a : result.points.front().aggregates) {
     table.AddRow({a.metric, Table::Num(a.mean, 3), Table::Num(a.ci95_half, 3),
                   Table::Num(a.min, 3), Table::Num(a.max, 3)});
   }
@@ -128,6 +128,6 @@ int main() {
   std::printf(
       "\n%llu replications. The sensor dozes between beacons (sleep %% above)\n"
       "while the always-on handset burns several times the radio energy.\n",
-      static_cast<unsigned long long>(result.replications.size()));
+      static_cast<unsigned long long>(result.replications));
   return 0;
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/logging.h"
-
 namespace wlansim {
 namespace {
 

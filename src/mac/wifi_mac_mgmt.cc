@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/logging.h"
 #include "mac/wifi_mac.h"
 
 namespace wlansim {

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "core/logging.h"
 #include "core/units.h"
 #include "phy/channel.h"
 

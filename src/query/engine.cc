@@ -335,7 +335,7 @@ std::string QueryEngine::Execute(const std::string& query) {
       }
       aggregates.push_back(AggregateScalarSamples(name, pooled));
     }
-    return ResultSink::AggregatesToCsv(aggregates);
+    return SweepLongCsvHeader({}) + SweepLongCsvRows({}, aggregates);
   }
 
   // Sweep: default grouping is every sweep parameter, making the default
@@ -374,7 +374,7 @@ std::string QueryEngine::Execute(const std::string& query) {
     throw std::runtime_error("no grid points match the WHERE clause");
   }
 
-  std::string csv = ResultSink::SweepLongCsvHeader(group_keys, false);
+  std::string csv = SweepLongCsvHeader(group_keys);
   std::vector<double> pooled;
   for (const auto& [key, members] : buckets) {
     // "*" expands to the bucket's own schema — exactly the point's column
@@ -403,7 +403,7 @@ std::string QueryEngine::Execute(const std::string& query) {
       }
       aggregates.push_back(AggregateScalarSamples(name, pooled));
     }
-    csv += ResultSink::SweepLongCsvRows(key, aggregates);
+    csv += SweepLongCsvRows(key, aggregates);
   }
   return csv;
 }

@@ -329,7 +329,7 @@ void EncodeFileHeader(std::string& out, const BinaryFileHeader& header) {
   PutU32(out, kBinaryFileMagic);
   PutU16(out, kBinaryFormatVersion);
   out.push_back(static_cast<char>(header.kind));
-  out.push_back(static_cast<char>(header.streamed ? 1 : 0));
+  out.push_back(0);  // reserved
   PutU64(out, header.n_groups);
   PutU64(out, header.base_seed);
   PutU64(out, header.replications);
@@ -357,7 +357,7 @@ BinaryFileHeader DecodeFileHeader(ByteReader& in) {
                              std::to_string(kind));
   }
   header.kind = static_cast<BinaryFileKind>(kind);
-  header.streamed = in.GetU8() != 0;
+  in.GetU8();  // reserved
   header.n_groups = in.GetU64();
   header.base_seed = in.GetU64();
   header.replications = in.GetU64();
@@ -370,13 +370,14 @@ BinaryFileHeader DecodeFileHeader(ByteReader& in) {
   return header;
 }
 
-void EncodeGroupHeader(std::string& out, const BinaryGroupHeader& header) {
+size_t EncodeGroupHeader(std::string& out, const BinaryGroupHeader& header) {
   PutU64(out, header.point_index);
   PutU64(out, header.point_seed);
   PutVarint(out, header.param_values.size());
   for (const std::string& value : header.param_values) {
     PutString(out, value);
   }
+  const size_t n_rows_offset = out.size();
   PutU64(out, header.n_rows);
   PutVarint(out, header.scalar_names.size());
   for (const std::string& name : header.scalar_names) {
@@ -391,6 +392,7 @@ void EncodeGroupHeader(std::string& out, const BinaryGroupHeader& header) {
     PutF64(out, geometry.bin_width);
     PutU64(out, geometry.n_bins);
   }
+  return n_rows_offset;
 }
 
 BinaryGroupHeader DecodeGroupHeader(ByteReader& in) {

@@ -58,7 +58,6 @@ enum class ChunkEncoding : uint8_t {
 
 struct BinaryFileHeader {
   BinaryFileKind kind = BinaryFileKind::kCampaign;
-  bool streamed = false;  // online (P-square) aggregation campaign/sweep
   uint64_t n_groups = 0;
   uint64_t base_seed = 1;
   uint64_t replications = 0;  // per group
@@ -149,9 +148,12 @@ void DecodeBins(ByteReader& in, size_t n, std::vector<uint64_t>* out);
 
 // File header layout (fixed-width fields first so n_groups sits at a known
 // offset, though writers are expected to know the group count upfront):
-//   magic u32 | version u16 | kind u8 | streamed u8 | n_groups u64 |
+//   magic u32 | version u16 | kind u8 | reserved u8 | n_groups u64 |
 //   base_seed u64 | replications u64 | scenario str | n_param_keys varint |
 //   param_key str ...
+// The reserved byte is written as 0 and ignored on read (older writers
+// set it to 1 for runs that aggregated with approximate quantiles; the
+// stored records were exact either way).
 void EncodeFileHeader(std::string& out, const BinaryFileHeader& header);
 // Throws std::runtime_error on a bad magic ("not a wlansim binary results
 // file") or an unsupported version.
@@ -164,7 +166,10 @@ BinaryFileHeader DecodeFileHeader(ByteReader& in);
 //   extents ...
 // On the wire the body is framed as:
 //   group magic u32 | body_len u64 | body | crc32(body) u32
-void EncodeGroupHeader(std::string& out, const BinaryGroupHeader& header);
+// Returns the offset in `out` of the fixed-width n_rows field, so a
+// streaming writer can encode the header before its row count is known and
+// patch the count in place once the last row is in.
+size_t EncodeGroupHeader(std::string& out, const BinaryGroupHeader& header);
 BinaryGroupHeader DecodeGroupHeader(ByteReader& in);
 
 }  // namespace wlansim

@@ -1,15 +1,14 @@
 #include "results/binary_reader.h"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "crypto/crc32.h"
-#include "runner/result_consumer.h"
+#include "results/binary_writer.h"
 #include "runner/result_sink.h"
-#include "stats/summary.h"
 
 namespace wlansim {
 namespace {
@@ -53,71 +52,28 @@ void WalkExtents(const BinaryGroup& group,
   }
 }
 
-// Exact per-point aggregates of one group, column at a time.
-std::vector<MetricAggregate> ExactGroupAggregates(const BinaryGroup& group) {
-  std::vector<MetricAggregate> aggregates;
-  aggregates.reserve(group.header.scalar_names.size());
-  std::vector<double> column;
-  for (size_t c = 0; c < group.header.scalar_names.size(); ++c) {
-    ReadScalarColumn(group, c, &column);
-    aggregates.push_back(AggregateScalarSamples(group.header.scalar_names[c], column));
-  }
-  return aggregates;
-}
-
-// Replays the online (Welford + P-square) aggregation over the group's rows
-// in replication order — the same record sequence the original streamed
-// sweep fed its OnlineAggregator, so the estimates are identical.
-std::vector<MetricAggregate> OnlineGroupAggregates(const BinaryGroup& group) {
-  OnlineAggregator aggregator;
-  ReplicationRecord record;
-  VisitScalarRows(group, [&](uint64_t row, const std::vector<double>& values) {
-    record.replication = row;
-    record.metrics.clear();
-    for (size_t c = 0; c < values.size(); ++c) {
-      record.metrics.emplace(group.header.scalar_names[c], values[c]);
-    }
-    aggregator.OnRecord(record);
-  });
-  return aggregator.Aggregates();
-}
-
 void RequireSameSchema(const BinaryFileHeader& a, const BinaryFileHeader& b,
                        const std::string& path) {
   if (a.kind != b.kind || a.scenario != b.scenario || a.base_seed != b.base_seed ||
-      a.replications != b.replications || a.streamed != b.streamed ||
-      a.param_keys != b.param_keys) {
+      a.replications != b.replications || a.param_keys != b.param_keys) {
     throw std::runtime_error("'" + path +
                              "' does not match the first input's campaign header "
-                             "(scenario/seed/replications/streamed/param keys must agree)");
+                             "(scenario/seed/replications/param keys must agree)");
   }
 }
 
 }  // namespace
 
-// Mirrors ResultSink::AggregateReplications for one fully-reported metric
-// column (every row has every column in a binary group, so the two are the
-// same math over the same sequence — hence the same bytes downstream).
-MetricAggregate AggregateScalarSamples(const std::string& name,
-                                       const std::vector<double>& values) {
-  Summary summary;
-  for (double v : values) {
-    summary.Add(v);
+std::vector<MetricAggregate> AggregateGroup(const BinaryGroup& group) {
+  std::vector<MetricAggregate> aggregates;
+  aggregates.reserve(group.header.scalar_names.size());
+  std::vector<double> column;
+  for (size_t c = 0; c < group.header.scalar_names.size(); ++c) {
+    ReadScalarColumn(group, c, &column);
+    aggregates.push_back(
+        AggregateScalarSamples(group.header.scalar_names[c], std::move(column)));
   }
-  MetricAggregate agg;
-  agg.metric = name;
-  agg.count = summary.count();
-  agg.mean = summary.mean();
-  agg.stddev = summary.stddev();
-  agg.ci95_half = summary.count() > 1
-                      ? StudentT95(summary.count() - 1) * summary.stddev() /
-                            std::sqrt(static_cast<double>(summary.count()))
-                      : 0.0;
-  agg.min = summary.min();
-  agg.max = summary.max();
-  agg.p50 = ExactQuantile(values, 0.50);
-  agg.p95 = ExactQuantile(values, 0.95);
-  return agg;
+  return aggregates;
 }
 
 BinaryResultsFile ParseBinaryResults(const std::string& bytes) {
@@ -269,8 +225,6 @@ std::string InspectBinary(const BinaryResultsFile& file) {
   text += "base_seed: " + std::to_string(file.header.base_seed) + "\n";
   text += "replications: " + std::to_string(file.header.replications) +
           (sweep ? " per grid point" : "") + "\n";
-  text += "aggregation: " + std::string(file.header.streamed ? "online (streamed)" : "exact") +
-          "\n";
   if (sweep) {
     std::string keys;
     for (const std::string& key : file.header.param_keys) {
@@ -345,13 +299,7 @@ void MergeBinaryFiles(const std::vector<std::string>& input_paths, std::ostream&
   EncodeFileHeader(bytes, header);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   for (const auto& [point_index, group] : by_point) {
-    std::string framed;
-    framed.reserve(group->body.size() + 16);
-    PutU32(framed, kBinaryGroupMagic);
-    PutU64(framed, group->body.size());
-    framed += group->body;
-    PutU32(framed, BodyCrc(group->body));
-    out.write(framed.data(), static_cast<std::streamsize>(framed.size()));
+    WriteFramedGroup(out, group->body);
   }
   out.flush();
   if (!out) {
@@ -366,8 +314,8 @@ std::string ExportBinaryCsv(const BinaryResultsFile& file) {
                                std::to_string(file.groups.size()) + " groups");
     }
     const BinaryGroup& group = file.groups.front();
-    // Matches StreamingCsvWriter bytes: no rows, no output (the streaming
-    // writer's header goes out with the first record).
+    // Matches StreamingCsvWriter bytes: no rows, no output (the writer's
+    // header goes out with the first record).
     if (group.header.n_rows == 0) {
       return "";
     }
@@ -387,11 +335,9 @@ std::string ExportBinaryCsv(const BinaryResultsFile& file) {
     });
     return csv;
   }
-  std::string csv = ResultSink::SweepLongCsvHeader(file.header.param_keys, file.header.streamed);
+  std::string csv = SweepLongCsvHeader(file.header.param_keys);
   for (const BinaryGroup& group : file.groups) {
-    const std::vector<MetricAggregate> aggregates =
-        file.header.streamed ? OnlineGroupAggregates(group) : ExactGroupAggregates(group);
-    csv += ResultSink::SweepLongCsvRows(group.header.param_values, aggregates);
+    csv += SweepLongCsvRows(group.header.param_values, AggregateGroup(group));
   }
   return csv;
 }
@@ -434,9 +380,9 @@ std::string AggregateBinary(const std::vector<const BinaryResultsFile*>& files) 
         ReadScalarColumn(file->groups.front(), c, &file_column);
         column.insert(column.end(), file_column.begin(), file_column.end());
       }
-      aggregates.push_back(AggregateScalarSamples(names[c], column));
+      aggregates.push_back(AggregateScalarSamples(names[c], std::move(column)));
     }
-    return ResultSink::AggregatesToCsv(aggregates);
+    return SweepLongCsvHeader({}) + SweepLongCsvRows({}, aggregates);
   }
   // Sweep: one block of rows per grid point, ascending, shards disjoint.
   std::map<uint64_t, const BinaryGroup*> by_point;
@@ -449,9 +395,9 @@ std::string AggregateBinary(const std::vector<const BinaryResultsFile*>& files) 
       }
     }
   }
-  std::string csv = ResultSink::SweepLongCsvHeader(reference.param_keys, false);
+  std::string csv = SweepLongCsvHeader(reference.param_keys);
   for (const auto& [point_index, group] : by_point) {
-    csv += ResultSink::SweepLongCsvRows(group->header.param_values, ExactGroupAggregates(*group));
+    csv += SweepLongCsvRows(group->header.param_values, AggregateGroup(*group));
   }
   return csv;
 }

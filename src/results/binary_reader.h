@@ -1,7 +1,8 @@
 // Readers and out-of-core operations over WLSR binary result files
 // (binary_format.h): parse + CRC-verify, column-at-a-time decoding, shard
 // merge, byte-identical CSV export, and exact aggregation. These back the
-// wlansim_results CLI and the format's tests.
+// campaign engine's per-point fold, the wlansim_results CLI and the query
+// server.
 //
 // The operations never materialize the row set: decoding walks one extent
 // (kExtentRows rows) or one column at a time, so aggregating a
@@ -70,19 +71,20 @@ std::string InspectBinary(const BinaryResultsFile& file);
 void MergeBinaryFiles(const std::vector<std::string>& input_paths, std::ostream& out);
 
 // Exports back to the text formats, byte-identical to what the run itself
-// would have written: a campaign file reproduces the per-replication CSV
-// (StreamingCsvWriter / ResultSink::ReplicationsToCsv), a sweep file
-// reproduces the long-format CSV (SweepResultToCsv), replaying the exact or
-// online aggregation according to the header's streamed flag.
+// wrote: a campaign file reproduces the per-replication CSV (--reps-csv), a
+// sweep file reproduces the long-format CSV (--csv).
 std::string ExportBinaryCsv(const BinaryResultsFile& file);
 
+// Exact per-metric aggregates of one group, one column at a time: the fold
+// the campaign engine runs on every finished grid point, so a run's --csv
+// and the offline tools print the same bytes.
+std::vector<MetricAggregate> AggregateGroup(const BinaryGroup& group);
+
 // Aggregates across files without materializing rows: per metric (and per
-// grid point for sweeps), a Welford summary plus exact sorted-sample
-// quantiles over the concatenated columns, in file order. Output is
-// AggregatesToCsv for campaigns and the long-format CSV for sweeps —
-// always with exact quantile labels, because the stored records are exact
-// whatever aggregation the original run used. Files must share scenario,
-// kind, and schema-bearing header fields.
+// grid point for sweeps), AggregateScalarSamples over the concatenated
+// columns, in file order. Output is the run's own --csv format: the
+// zero-key long CSV for campaigns, the long-format CSV for sweeps. Files
+// must share scenario, kind, and schema-bearing header fields.
 std::string AggregateBinary(const std::vector<BinaryResultsFile>& files);
 
 // The same operation over borrowed files (none may be null). This is the
@@ -90,14 +92,6 @@ std::string AggregateBinary(const std::vector<BinaryResultsFile>& files);
 // served answers must be byte-identical to the offline path, so both
 // spellings run literally the same code.
 std::string AggregateBinary(const std::vector<const BinaryResultsFile*>& files);
-
-// The exact per-column aggregation shared by AggregateBinary, the export
-// path and the query engine: Welford mean/stddev/CI over `values` in the
-// given order plus exact sorted-sample quantiles. Mirrors
-// ResultSink::AggregateReplications for a fully-reported metric column, so
-// every downstream CSV byte matches the text writers'.
-MetricAggregate AggregateScalarSamples(const std::string& name,
-                                       const std::vector<double>& values);
 
 }  // namespace wlansim
 

@@ -1,7 +1,9 @@
 #include "results/binary_writer.h"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 #include "crypto/crc32.h"
 
@@ -19,66 +21,92 @@ bool SameGeometry(const DistGeometry& geometry, const DistributionSnapshot& snap
 
 }  // namespace
 
+void WriteFramedGroup(std::ostream& out, const std::string& body) {
+  std::string frame;
+  PutU32(frame, kBinaryGroupMagic);
+  PutU64(frame, body.size());
+  out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  out.write(body.data(), static_cast<std::streamsize>(body.size()));
+  frame.clear();
+  PutU32(frame, Crc32({reinterpret_cast<const uint8_t*>(body.data()), body.size()}));
+  out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+}
+
+GroupEncoder::GroupEncoder(uint64_t point_index, uint64_t point_seed,
+                           std::vector<std::string> param_values, uint64_t expected_rows)
+    : expected_rows_(expected_rows) {
+  header_.point_index = point_index;
+  header_.point_seed = point_seed;
+  header_.param_values = std::move(param_values);
+}
+
 void GroupEncoder::FixSchema(const ReplicationRecord& record) {
-  scalar_names_.reserve(record.metrics.size());
+  header_.scalar_names.reserve(record.metrics.size());
   for (const auto& [name, value] : record.metrics) {
-    scalar_names_.push_back(name);
+    header_.scalar_names.push_back(name);
   }
-  dist_names_.reserve(record.distributions.size());
+  header_.dist_names.reserve(record.distributions.size());
   for (const auto& [name, snapshot] : record.distributions) {
-    dist_names_.push_back(name);
+    header_.dist_names.push_back(name);
     DistGeometry geometry;
     geometry.lo = snapshot.lo;
     geometry.bin_width = snapshot.bin_width;
     geometry.n_bins = snapshot.bins.size();
-    geometries_.push_back(geometry);
+    header_.dist_geometries.push_back(geometry);
   }
-  scalar_cols_.resize(scalar_names_.size());
+  scalar_cols_.resize(header_.scalar_names.size());
   for (std::vector<double>& col : scalar_cols_) {
-    col.reserve(kExtentRows);
+    col.reserve(std::min(kExtentRows, expected_rows_));
   }
-  dist_cols_.resize(dist_names_.size());
+  dist_cols_.resize(header_.dist_names.size());
+  // The header goes first in the body; only its row count is unknown yet.
+  n_rows_offset_ = EncodeGroupHeader(body_, header_);
+  extents_offset_ = body_.size();
   schema_fixed_ = true;
 }
 
 void GroupEncoder::CheckSchema(const ReplicationRecord& record) const {
   // Same contract as the streaming CSV writer: the schema went out with the
   // first record, so a drifting metric set cannot be accommodated.
-  if (record.metrics.size() != scalar_names_.size() ||
-      record.distributions.size() != dist_names_.size()) {
+  const std::vector<std::string>& scalar_names = header_.scalar_names;
+  const std::vector<std::string>& dist_names = header_.dist_names;
+  if (record.metrics.size() != scalar_names.size() ||
+      record.distributions.size() != dist_names.size()) {
     throw std::runtime_error("replication " + std::to_string(record.replication) + " reports " +
                              std::to_string(record.metrics.size()) + " metrics and " +
                              std::to_string(record.distributions.size()) +
-                             " distributions; the binary group schema fixed " +
-                             std::to_string(scalar_names_.size()) + " and " +
-                             std::to_string(dist_names_.size()));
+                             " distributions; the group schema fixed " +
+                             std::to_string(scalar_names.size()) + " and " +
+                             std::to_string(dist_names.size()) +
+                             " at the first replication (a campaign's replications must all "
+                             "report the same metric set)");
   }
   size_t i = 0;
   for (const auto& [name, value] : record.metrics) {
-    if (name != scalar_names_[i]) {
+    if (name != scalar_names[i]) {
       throw std::runtime_error("replication " + std::to_string(record.replication) +
-                               " reports metric '" + name +
-                               "' where the binary group schema has '" + scalar_names_[i] + "'");
+                               " reports metric '" + name + "' where the group schema has '" +
+                               scalar_names[i] + "'");
     }
     ++i;
   }
   i = 0;
   for (const auto& [name, snapshot] : record.distributions) {
-    if (name != dist_names_[i]) {
+    if (name != dist_names[i]) {
       throw std::runtime_error("replication " + std::to_string(record.replication) +
                                " reports distribution '" + name +
-                               "' where the binary group schema has '" + dist_names_[i] + "'");
+                               "' where the group schema has '" + dist_names[i] + "'");
     }
-    if (!SameGeometry(geometries_[i], snapshot)) {
+    if (!SameGeometry(header_.dist_geometries[i], snapshot)) {
       throw std::runtime_error("replication " + std::to_string(record.replication) +
                                " changed the bin geometry of distribution '" + name +
-                               "'; the binary group schema fixed it at the first record");
+                               "'; the group schema fixed it at the first record");
     }
     ++i;
   }
 }
 
-void GroupEncoder::AddRecord(const ReplicationRecord& record) {
+void GroupEncoder::OnRecord(const ReplicationRecord& record) {
   if (!schema_fixed_) {
     FixSchema(record);
   } else {
@@ -110,19 +138,19 @@ void GroupEncoder::FlushExtent() {
     return;
   }
   for (std::vector<double>& col : scalar_cols_) {
-    EncodeScalarChunk(extents_, col.data(), col.size());
+    EncodeScalarChunk(body_, col.data(), col.size());
     col.clear();
   }
   for (DistColumns& cols : dist_cols_) {
-    EncodeU64Chunk(extents_, cols.underflow.data(), cols.underflow.size());
-    EncodeU64Chunk(extents_, cols.overflow.data(), cols.overflow.size());
-    EncodeU64Chunk(extents_, cols.total.data(), cols.total.size());
-    EncodeScalarChunk(extents_, cols.min.data(), cols.min.size());
-    EncodeScalarChunk(extents_, cols.max.data(), cols.max.size());
-    EncodeScalarChunk(extents_, cols.mean.data(), cols.mean.size());
+    EncodeU64Chunk(body_, cols.underflow.data(), cols.underflow.size());
+    EncodeU64Chunk(body_, cols.overflow.data(), cols.overflow.size());
+    EncodeU64Chunk(body_, cols.total.data(), cols.total.size());
+    EncodeScalarChunk(body_, cols.min.data(), cols.min.size());
+    EncodeScalarChunk(body_, cols.max.data(), cols.max.size());
+    EncodeScalarChunk(body_, cols.mean.data(), cols.mean.size());
     // Length prefix lets a reader skip the whole bins block of an extent.
-    PutVarint(extents_, cols.bins_rle.size());
-    extents_ += cols.bins_rle;
+    PutVarint(body_, cols.bins_rle.size());
+    body_ += cols.bins_rle;
     cols.underflow.clear();
     cols.overflow.clear();
     cols.total.clear();
@@ -132,75 +160,42 @@ void GroupEncoder::FlushExtent() {
     cols.bins_rle.clear();
   }
   extent_rows_ = 0;
+  if (n_rows_ == kExtentRows && expected_rows_ > kExtentRows) {
+    // Size the body once, from the first extent, for every row the group
+    // will hold (with 2x slack). Growing by doubling instead would briefly
+    // hold the old and the new copy — twice the group in resident memory —
+    // while capacity that is never written costs none.
+    const uint64_t extents = (expected_rows_ + kExtentRows - 1) / kExtentRows;
+    body_.reserve(extents_offset_ + 2 * extents * (body_.size() - extents_offset_));
+  }
 }
 
-std::string GroupEncoder::FinishFramed(uint64_t point_index, uint64_t point_seed,
-                                       std::vector<std::string> param_values) {
+BinaryGroup GroupEncoder::Finish() {
+  if (!schema_fixed_) {
+    // No records: the group still carries its point identity.
+    n_rows_offset_ = EncodeGroupHeader(body_, header_);
+    extents_offset_ = body_.size();
+  }
   FlushExtent();
-  BinaryGroupHeader header;
-  header.point_index = point_index;
-  header.point_seed = point_seed;
-  header.param_values = std::move(param_values);
-  header.n_rows = n_rows_;
-  header.scalar_names = scalar_names_;
-  header.dist_names = dist_names_;
-  header.dist_geometries = geometries_;
-
-  std::string body;
-  EncodeGroupHeader(body, header);
-  body += extents_;
-  extents_.clear();
-
-  std::string framed;
-  framed.reserve(body.size() + 16);
-  PutU32(framed, kBinaryGroupMagic);
-  PutU64(framed, body.size());
-  framed += body;
-  PutU32(framed, Crc32({reinterpret_cast<const uint8_t*>(body.data()), body.size()}));
-  return framed;
+  std::string n_rows;
+  PutU64(n_rows, n_rows_);
+  body_.replace(n_rows_offset_, n_rows.size(), n_rows);
+  header_.n_rows = n_rows_;
+  BinaryGroup group;
+  group.header = std::move(header_);
+  group.body = std::move(body_);
+  group.extents_offset = extents_offset_;
+  return group;
 }
 
-void BinaryCampaignWriter::BeginCampaign(const CampaignManifest& manifest) {
+void BinaryResultsWriter::BeginSweep(const SweepManifest& manifest) {
   if (begun_) {
     throw std::logic_error(
-        "BinaryCampaignWriter attached to a second campaign: one writer, one stream");
-  }
-  begun_ = true;
-  manifest_ = manifest;
-  BinaryFileHeader header;
-  header.kind = BinaryFileKind::kCampaign;
-  header.streamed = streamed_;
-  header.n_groups = 1;
-  header.base_seed = manifest.base_seed;
-  header.replications = manifest.replications;
-  header.scenario = manifest.scenario;
-  std::string bytes;
-  EncodeFileHeader(bytes, header);
-  out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-void BinaryCampaignWriter::OnRecord(const ReplicationRecord& record) {
-  encoder_.AddRecord(record);
-}
-
-void BinaryCampaignWriter::EndCampaign() {
-  const std::string framed = encoder_.FinishFramed(0, manifest_.base_seed, {});
-  out_.write(framed.data(), static_cast<std::streamsize>(framed.size()));
-  out_.flush();
-  if (!out_) {
-    throw std::runtime_error("binary results write failed");
-  }
-}
-
-void BinarySweepWriter::BeginSweep(const SweepManifest& manifest) {
-  if (begun_) {
-    throw std::logic_error(
-        "BinarySweepWriter attached to a second sweep: one writer, one stream");
+        "BinaryResultsWriter attached to a second run: one writer, one stream");
   }
   begun_ = true;
   BinaryFileHeader header;
-  header.kind = BinaryFileKind::kSweep;
-  header.streamed = manifest.streamed;
+  header.kind = manifest.param_keys.empty() ? BinaryFileKind::kCampaign : BinaryFileKind::kSweep;
   header.n_groups = manifest.shard_points;
   header.base_seed = manifest.base_seed;
   header.replications = manifest.replications;
@@ -211,29 +206,15 @@ void BinarySweepWriter::BeginSweep(const SweepManifest& manifest) {
   out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-std::unique_ptr<ResultConsumer> BinarySweepWriter::MakePointConsumer(const SweepPointInfo& info) {
+void BinaryResultsWriter::OnPointDone(const SweepPointInfo& info,
+                                      const std::vector<MetricAggregate>& aggregates,
+                                      const BinaryGroup& group) {
   (void)info;
-  return std::make_unique<GroupEncoderConsumer>();
-}
-
-void BinarySweepWriter::OnPointDone(const SweepPointInfo& info,
-                                    const std::vector<MetricAggregate>& aggregates,
-                                    ResultConsumer* point_consumer) {
   (void)aggregates;
-  // The engine hands back the consumer MakePointConsumer created, so the
-  // cast recovers our own encoder.
-  GroupEncoderConsumer& consumer = *static_cast<GroupEncoderConsumer*>(point_consumer);
-  std::vector<std::string> param_values;
-  param_values.reserve(info.point.size());
-  for (const auto& [key, value] : info.point) {
-    param_values.push_back(value);
-  }
-  const std::string framed = consumer.encoder().FinishFramed(info.point_index, info.point_seed,
-                                                             std::move(param_values));
-  out_.write(framed.data(), static_cast<std::streamsize>(framed.size()));
+  WriteFramedGroup(out_, group.body);
 }
 
-void BinarySweepWriter::EndSweep() {
+void BinaryResultsWriter::EndSweep() {
   out_.flush();
   if (!out_) {
     throw std::runtime_error("binary results write failed");

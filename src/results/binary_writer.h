@@ -2,58 +2,72 @@
 //
 // GroupEncoder turns an ordered stream of ReplicationRecords into one
 // encoded group: it buffers kExtentRows rows of column values, flushes each
-// full extent as per-column chunks, and finishes into the CRC-framed group
-// bytes. Peak memory is one extent of raw columns plus the (compact)
-// encoded blob — never the row set.
+// full extent as per-column chunks, and finishes into the group's
+// CRC-covered body. Peak memory is one extent of raw columns plus the
+// (compact) encoded body — never the row set. The campaign engine runs one
+// encoder per grid point as that point's only record store and folds the
+// finished group into its aggregates.
 //
-// BinaryCampaignWriter is the ResultConsumer that rides the campaign
-// ResultPipeline (next to the streaming CSV writer) and writes a
-// single-group campaign file. BinarySweepWriter is the SweepPointSink that
-// writes a sweep file: one group per grid point, emitted in grid order by
-// the sweep engine's ordered point delivery, so the bytes are identical for
-// any --jobs value — and shards concatenate into exactly the unsharded file.
+// BinaryResultsWriter is the SweepPointSink behind --binary-out: one framed
+// group per grid point, emitted in grid order by the engine's ordered point
+// delivery, so the bytes are identical for any --jobs value — and sweep
+// shards concatenate into exactly the unsharded file. A zero-axis run (a
+// campaign) writes a campaign-kind file.
 
 #ifndef WLANSIM_RESULTS_BINARY_WRITER_H_
 #define WLANSIM_RESULTS_BINARY_WRITER_H_
 
-#include <memory>
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "results/binary_format.h"
+#include "results/binary_reader.h"
 #include "runner/metric_recorder.h"
 #include "runner/result_consumer.h"
 #include "runner/sweep.h"
 
 namespace wlansim {
 
-// Encodes the records of one group (one campaign, or one sweep grid point).
-// The schema — scalar names, distribution names, bin geometries — is fixed
-// by the first record, exactly the way StreamingCsvWriter fixes its column
-// set; a later record that drifts throws std::runtime_error.
-class GroupEncoder {
+// Writes one framed group to `out`: group magic | body_len | body |
+// crc32(body), straight from `body` with no framed copy. Shared by the
+// writer and the shard merge, so both frame groups identically.
+void WriteFramedGroup(std::ostream& out, const std::string& body);
+
+// Encodes the records of one group (one grid point; a campaign is the
+// single point of a zero-axis grid). The schema — scalar names,
+// distribution names, bin geometries — is fixed by the first record; a
+// later record that drifts throws std::runtime_error. A campaign therefore
+// requires every replication to report the same metric set.
+class GroupEncoder final : public ResultConsumer {
  public:
+  // `expected_rows` (the replication count) only sizes the body buffer; any
+  // number of records may arrive.
+  GroupEncoder(uint64_t point_index, uint64_t point_seed, std::vector<std::string> param_values,
+               uint64_t expected_rows);
+
   // Records must arrive in replication order (the pipeline guarantees it).
-  void AddRecord(const ReplicationRecord& record);
+  void OnRecord(const ReplicationRecord& record) override;
 
-  uint64_t n_rows() const { return n_rows_; }
-
-  // Flushes the trailing partial extent and returns the framed group:
-  // group magic | body_len | body | crc32(body). The encoder is spent
+  // Flushes the trailing partial extent and returns the finished group,
+  // its body moved out of the encoder (no copy). The encoder is spent
   // afterwards.
-  std::string FinishFramed(uint64_t point_index, uint64_t point_seed,
-                           std::vector<std::string> param_values);
+  BinaryGroup Finish();
 
  private:
   void FixSchema(const ReplicationRecord& record);
   void CheckSchema(const ReplicationRecord& record) const;
   void FlushExtent();
 
+  BinaryGroupHeader header_;  // point identity, then the schema of row 0
+  uint64_t expected_rows_;
   bool schema_fixed_ = false;
-  std::vector<std::string> scalar_names_;
-  std::vector<std::string> dist_names_;
-  std::vector<DistGeometry> geometries_;
+  // The group body under construction: the encoded header (written when
+  // the schema is fixed, n_rows patched at Finish) followed by extents.
+  std::string body_;
+  size_t n_rows_offset_ = 0;
+  size_t extents_offset_ = 0;
 
   uint64_t n_rows_ = 0;
   size_t extent_rows_ = 0;
@@ -68,54 +82,19 @@ class GroupEncoder {
     std::string bins_rle;  // concatenated per-row zero-RLE bin blocks
   };
   std::vector<DistColumns> dist_cols_;
-  std::string extents_;  // encoded extents so far
 };
 
-// ResultConsumer adapter over a GroupEncoder, for contexts that attach
-// consumers to a pipeline (the sweep engine's per-point consumers).
-class GroupEncoderConsumer final : public ResultConsumer {
+// Writes a WLSR file: the header up front (the group count — this shard's
+// point count — is known before any point runs), then each finished group
+// as the engine delivers it in grid order. The file kind follows the axis
+// count: no axes is a campaign file, any axis a sweep file.
+class BinaryResultsWriter final : public SweepPointSink {
  public:
-  void OnRecord(const ReplicationRecord& record) override { encoder_.AddRecord(record); }
-
-  GroupEncoder& encoder() { return encoder_; }
-
- private:
-  GroupEncoder encoder_;
-};
-
-// Streams a campaign into one single-group binary file on `out`. `streamed`
-// only annotates the header (which aggregation mode the campaign ran); the
-// writer always receives and stores every full record.
-class BinaryCampaignWriter final : public ResultConsumer {
- public:
-  BinaryCampaignWriter(std::ostream& out, bool streamed)
-      : out_(out), streamed_(streamed) {}
-
-  // One writer serves one campaign, like StreamingCsvWriter.
-  void BeginCampaign(const CampaignManifest& manifest) override;
-  void OnRecord(const ReplicationRecord& record) override;
-  void EndCampaign() override;
-
- private:
-  std::ostream& out_;
-  bool streamed_;
-  CampaignManifest manifest_;
-  GroupEncoder encoder_;
-  bool begun_ = false;
-};
-
-// Writes a sweep binary file: header up front (the group count — this
-// shard's point count — is known before any point runs), then one framed
-// group per grid point as the engine delivers completions in grid order.
-class BinarySweepWriter final : public SweepPointSink {
- public:
-  explicit BinarySweepWriter(std::ostream& out) : out_(out) {}
+  explicit BinaryResultsWriter(std::ostream& out) : out_(out) {}
 
   void BeginSweep(const SweepManifest& manifest) override;
-  std::unique_ptr<ResultConsumer> MakePointConsumer(const SweepPointInfo& info) override;
-  void OnPointDone(const SweepPointInfo& info,
-                   const std::vector<MetricAggregate>& aggregates,
-                   ResultConsumer* point_consumer) override;
+  void OnPointDone(const SweepPointInfo& info, const std::vector<MetricAggregate>& aggregates,
+                   const BinaryGroup& group) override;
   void EndSweep() override;
 
  private:

@@ -3,7 +3,8 @@
 // aggregated results. With one or more --sweep axes it runs a whole
 // parameter grid as per-point replication batches and emits one long-format
 // table; --shard=i/n partitions the grid across processes or hosts without
-// changing any result.
+// changing any result. Both are one engine: a campaign is the sweep with
+// zero axes.
 //
 //   wlansim_run --list
 //   wlansim_run --describe=saturation
@@ -26,7 +27,6 @@
 #include "core/hotpath_stats.h"
 #include "core/version.h"
 #include "results/binary_writer.h"
-#include "runner/campaign.h"
 #include "runner/result_consumer.h"
 #include "runner/scenario_registry.h"
 #include "runner/sweep.h"
@@ -34,12 +34,6 @@
 
 namespace wlansim {
 namespace {
-
-// Replication count at which the CLI switches to the streaming pipeline on
-// its own: beyond this, buffering every row is the memory hazard the
-// streaming path exists to avoid. --stream forces it earlier, --no-stream
-// forces exact batch aggregation regardless of size.
-constexpr uint64_t kAutoStreamReplications = 10000;
 
 void PrintUsage() {
   std::printf(
@@ -59,11 +53,11 @@ void PrintUsage() {
       "                      (contiguous, disjoint, exhaustive across shards);\n"
       "                      results are identical for any shard split\n"
       "  --csv=FILE          write the aggregate table as CSV (long format when\n"
-      "                      sweeping: params...,metric,count,mean,stddev,...)\n"
+      "                      sweeping: params...,metric,count,mean,stddev,...),\n"
+      "                      one grid point at a time as points complete\n"
       "  --json=FILE         write the aggregate table as JSON (no sweep mode)\n"
-      "  --reps-csv=FILE     write one CSV row per replication (no sweep mode);\n"
-      "                      in stream mode rows are appended as replications\n"
-      "                      complete instead of buffered\n"
+      "  --reps-csv=FILE     write one CSV row per replication as replications\n"
+      "                      complete (no sweep mode)\n"
       "  --binary-out=FILE   write the full per-replication record stream\n"
       "                      (metrics plus histogram snapshots) as a WLSR\n"
       "                      binary columnar file, in campaign and sweep mode\n"
@@ -71,15 +65,6 @@ void PrintUsage() {
       "                      aggregate it. Output bytes are identical for any\n"
       "                      --jobs value, and sweep shard files merge into\n"
       "                      exactly the unsharded file\n"
-      "  --stream            stream results instead of buffering them: rows go\n"
-      "                      to --reps-csv as they complete and aggregates use\n"
-      "                      online Welford + P-square quantiles in O(metrics)\n"
-      "                      memory (columns become p50_approx/p95_approx).\n"
-      "                      In sweep mode the long-format --csv streams too,\n"
-      "                      one grid point at a time, byte-identical to the\n"
-      "                      batch writer.\n"
-      "                      Auto-enabled at >= %llu replications; --no-stream\n"
-      "                      forces exact batch aggregation back on\n"
       "  --list              list registered scenarios\n"
       "  --version           print the build version and exit\n"
       "  --describe=NAME     show a scenario's parameters and defaults\n"
@@ -87,8 +72,12 @@ void PrintUsage() {
       "  --verbose           after the run, print hot-path diagnostic counters\n"
       "                      (packet bytes deep-copied in channel fan-out,\n"
       "                      event closures that missed the slab's inline\n"
-      "                      buffer); stdout only, never in any result file\n",
-      static_cast<unsigned long long>(kAutoStreamReplications));
+      "                      buffer); stdout only, never in any result file\n"
+      "\n"
+      "Aggregates are exact at any replication count: each grid point's records\n"
+      "are stored as one compact WLSR group and folded a column at a time, so\n"
+      "p50/p95 are true sample quantiles and memory holds one encoded group per\n"
+      "in-flight point, never the row set.\n");
 }
 
 int ListScenarios() {
@@ -165,53 +154,56 @@ bool ParseShard(const std::string& spec, unsigned* index, unsigned* count) {
   }
 }
 
-int RunSweep(const CampaignOptions& base, const std::vector<std::string>& sweep_specs,
-             unsigned shard_index, unsigned shard_count, const std::string& csv_path,
-             const std::string& binary_out_path, bool quiet, bool verbose) {
-  SweepOptions options;
-  options.scenario = base.scenario;
-  options.base_params = base.params;
-  options.base_seed = base.base_seed;
-  options.replications = base.replications;
-  options.jobs = base.jobs;
-  options.shard_index = shard_index;
-  options.shard_count = shard_count;
-  options.stream = base.stream;
+// Opens `path` for one output flag; false (after complaining) when it
+// cannot be written.
+bool OpenOutput(const std::string& path, std::ofstream* out) {
+  out->open(path, std::ios::binary);
+  if (!*out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
+}
 
-  // In stream mode the long CSV goes out through an ordered point sink, one
-  // grid point at a time, instead of assembling at sweep end — byte-identical
-  // to the batch writer below.
-  std::ofstream streamed_csv_out;
-  std::unique_ptr<StreamingSweepCsvWriter> streamed_csv_writer;
-  if (options.stream && !csv_path.empty()) {
-    streamed_csv_out.open(csv_path, std::ios::binary);
-    if (!streamed_csv_out) {
-      std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
+// Runs the campaign (zero axes) or sweep and writes every requested output.
+// --csv, --reps-csv and --binary-out stream to disk while the run
+// progresses; the stdout table and --json read the retained aggregates.
+int Run(SweepOptions& options, const std::string& csv_path, const std::string& json_path,
+        const std::string& reps_csv_path, const std::string& binary_out_path, bool quiet,
+        bool verbose) {
+  std::ofstream csv_out;
+  std::unique_ptr<StreamingSweepCsvWriter> csv_writer;
+  if (!csv_path.empty()) {
+    if (!OpenOutput(csv_path, &csv_out)) {
       return 1;
     }
-    streamed_csv_writer = std::make_unique<StreamingSweepCsvWriter>(streamed_csv_out);
-    options.point_sinks.push_back(streamed_csv_writer.get());
+    csv_writer = std::make_unique<StreamingSweepCsvWriter>(csv_out);
+    options.point_sinks.push_back(csv_writer.get());
   }
   std::ofstream binary_out;
-  std::unique_ptr<BinarySweepWriter> binary_writer;
+  std::unique_ptr<BinaryResultsWriter> binary_writer;
   if (!binary_out_path.empty()) {
-    binary_out.open(binary_out_path, std::ios::binary);
-    if (!binary_out) {
-      std::fprintf(stderr, "cannot write %s\n", binary_out_path.c_str());
+    if (!OpenOutput(binary_out_path, &binary_out)) {
       return 1;
     }
-    binary_writer = std::make_unique<BinarySweepWriter>(binary_out);
+    binary_writer = std::make_unique<BinaryResultsWriter>(binary_out);
     options.point_sinks.push_back(binary_writer.get());
   }
+  std::ofstream reps_out;
+  std::unique_ptr<StreamingCsvWriter> reps_writer;
+  if (!reps_csv_path.empty()) {
+    if (!OpenOutput(reps_csv_path, &reps_out)) {
+      return 1;
+    }
+    reps_writer = std::make_unique<StreamingCsvWriter>(reps_out);
+    options.consumers.push_back(reps_writer.get());
+  }
   // Per-point aggregates only need buffering for the stdout table and the
-  // batch CSV path; a quiet streamed sweep runs with O(in-flight) memory.
-  options.retain_points = !quiet || (!csv_path.empty() && !options.stream);
+  // JSON file; a quiet run holds nothing beyond its in-flight points.
+  options.retain_points = !quiet || !json_path.empty();
 
   SweepResult result;
   try {
-    for (const std::string& spec : sweep_specs) {
-      options.grid.AddAxis(ParseSweepAxis(spec));
-    }
     result = RunSweepCampaign(options);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
@@ -219,17 +211,24 @@ int RunSweep(const CampaignOptions& base, const std::vector<std::string>& sweep_
   }
 
   if (!quiet) {
-    std::printf("=== %s sweep: %zu/%zu grid point(s) [shard %u/%u], %llu replication(s)/point, "
-                "base seed %llu ===\n",
-                result.scenario.c_str(), result.points.size(), options.grid.NumPoints(),
-                shard_index, shard_count, static_cast<unsigned long long>(result.replications),
-                static_cast<unsigned long long>(result.base_seed));
+    if (options.grid.empty()) {
+      std::printf("=== %s: %llu replication(s), base seed %llu ===\n", result.scenario.c_str(),
+                  static_cast<unsigned long long>(result.replications),
+                  static_cast<unsigned long long>(result.base_seed));
+    } else {
+      std::printf(
+          "=== %s sweep: %zu/%zu grid point(s) [shard %u/%u], %llu replication(s)/point, "
+          "base seed %llu ===\n",
+          result.scenario.c_str(), result.points.size(), options.grid.NumPoints(),
+          options.shard_index, options.shard_count,
+          static_cast<unsigned long long>(result.replications),
+          static_cast<unsigned long long>(result.base_seed));
+    }
     std::vector<std::string> header = result.param_keys;
-    for (const char* col : {"metric", "count", "mean", "stddev", "ci95_half", "min", "max"}) {
+    for (const char* col :
+         {"metric", "count", "mean", "stddev", "ci95_half", "min", "max", "p50", "p95"}) {
       header.emplace_back(col);
     }
-    header.emplace_back(result.streamed ? "p50_approx" : "p50");
-    header.emplace_back(result.streamed ? "p95_approx" : "p95");
     Table table(header);
     for (const SweepPointResult& point : result.points) {
       for (const MetricAggregate& a : point.aggregates) {
@@ -247,8 +246,10 @@ int RunSweep(const CampaignOptions& base, const std::vector<std::string>& sweep_
     }
     std::fputs(table.ToString().c_str(), stdout);
   }
-  if (!csv_path.empty() && streamed_csv_writer == nullptr &&
-      !WriteFileOrComplain(csv_path, SweepResultToCsv(result))) {
+  if (!json_path.empty() &&
+      !WriteFileOrComplain(json_path,
+                           AggregatesToJson(result.scenario, result.replications,
+                                            result.points.front().aggregates))) {
     return 1;
   }
   if (verbose) {
@@ -258,7 +259,7 @@ int RunSweep(const CampaignOptions& base, const std::vector<std::string>& sweep_
 }
 
 int Main(int argc, char** argv) {
-  CampaignOptions options;
+  SweepOptions options;
   std::vector<std::string> sweep_specs;
   std::string shard_spec;
   std::string csv_path;
@@ -268,8 +269,6 @@ int Main(int argc, char** argv) {
   std::vector<std::string> param_keys_seen;
   bool quiet = false;
   bool verbose = false;
-  bool stream = false;
-  bool no_stream = false;
 
   auto value_of = [](const char* arg, const char* flag) -> const char* {
     const size_t n = std::strlen(flag);
@@ -331,7 +330,7 @@ int Main(int argc, char** argv) {
         }
       }
       param_keys_seen.push_back(key);
-      options.params.Set(key, std::string(eq + 1));
+      options.base_params.Set(key, std::string(eq + 1));
     } else if ((v = value_of(arg, "--sweep")) != nullptr ||
                (std::strcmp(arg, "--sweep") == 0 && i + 1 < argc && (v = argv[++i]) != nullptr)) {
       sweep_specs.emplace_back(v);
@@ -349,10 +348,6 @@ int Main(int argc, char** argv) {
       quiet = true;
     } else if (std::strcmp(arg, "--verbose") == 0) {
       verbose = true;
-    } else if (std::strcmp(arg, "--stream") == 0) {
-      stream = true;
-    } else if (std::strcmp(arg, "--no-stream") == 0) {
-      no_stream = true;
     } else {
       std::fprintf(stderr, "unknown option '%s'\n\n", arg);
       PrintUsage();
@@ -369,19 +364,6 @@ int Main(int argc, char** argv) {
   }
   if (options.replications == 0) {
     std::fprintf(stderr, "--reps must be at least 1\n");
-    return 1;
-  }
-  if (stream && no_stream) {
-    std::fprintf(stderr, "--stream and --no-stream are mutually exclusive\n");
-    return 1;
-  }
-  if (!binary_out_path.empty() && no_stream &&
-      options.replications >= kAutoStreamReplications) {
-    std::fprintf(stderr,
-                 "--binary-out with --no-stream at >= %llu replications would buffer every "
-                 "row for the exact aggregates while the binary file streams; drop "
-                 "--no-stream (the binary records are exact either way)\n",
-                 static_cast<unsigned long long>(kAutoStreamReplications));
     return 1;
   }
   // Each output flag owns its file; two flags aimed at one path would just
@@ -403,12 +385,8 @@ int Main(int argc, char** argv) {
       }
     }
   }
-  options.stream =
-      !no_stream && (stream || options.replications >= kAutoStreamReplications);
-
-  unsigned shard_index = 0;
-  unsigned shard_count = 1;
-  if (!shard_spec.empty() && !ParseShard(shard_spec, &shard_index, &shard_count)) {
+  if (!shard_spec.empty() &&
+      !ParseShard(shard_spec, &options.shard_index, &options.shard_count)) {
     std::fprintf(stderr, "--shard expects I/N with 0 <= I < N, got '%s'\n", shard_spec.c_str());
     return 1;
   }
@@ -417,84 +395,19 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "--json/--reps-csv are not supported in sweep mode; use --csv\n");
       return 1;
     }
-    return RunSweep(options, sweep_specs, shard_index, shard_count, csv_path, binary_out_path,
-                    quiet, verbose);
-  }
-  if (!shard_spec.empty()) {
+    try {
+      for (const std::string& spec : sweep_specs) {
+        options.grid.AddAxis(ParseSweepAxis(spec));
+      }
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
+  } else if (!shard_spec.empty()) {
     std::fprintf(stderr, "--shard requires at least one --sweep axis\n");
     return 1;
   }
-
-  // In stream mode the per-replication CSV is written by a pipeline
-  // consumer while the campaign runs, so rows hit the disk as replications
-  // complete and are never all in memory at once.
-  std::ofstream streamed_reps_out;
-  std::unique_ptr<StreamingCsvWriter> streamed_reps_writer;
-  if (options.stream && !reps_csv_path.empty()) {
-    streamed_reps_out.open(reps_csv_path, std::ios::binary);
-    if (!streamed_reps_out) {
-      std::fprintf(stderr, "cannot write %s\n", reps_csv_path.c_str());
-      return 1;
-    }
-    streamed_reps_writer = std::make_unique<StreamingCsvWriter>(streamed_reps_out);
-    options.consumers.push_back(streamed_reps_writer.get());
-  }
-
-  // The binary record stream rides the same pipeline in both modes: every
-  // record is stored whole whether the aggregates are exact or online.
-  std::ofstream binary_out;
-  std::unique_ptr<BinaryCampaignWriter> binary_writer;
-  if (!binary_out_path.empty()) {
-    binary_out.open(binary_out_path, std::ios::binary);
-    if (!binary_out) {
-      std::fprintf(stderr, "cannot write %s\n", binary_out_path.c_str());
-      return 1;
-    }
-    binary_writer = std::make_unique<BinaryCampaignWriter>(binary_out, options.stream);
-    options.consumers.push_back(binary_writer.get());
-  }
-
-  CampaignResult result;
-  try {
-    result = RunCampaign(options);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-
-  const std::string agg_csv = ResultSink::AggregatesToCsv(result.aggregates, result.streamed);
-  if (!quiet) {
-    std::printf("=== %s: %llu replication(s), base seed %llu%s ===\n", result.scenario.c_str(),
-                static_cast<unsigned long long>(result.replication_count),
-                static_cast<unsigned long long>(result.base_seed),
-                result.streamed ? ", streamed" : "");
-    Table table({"metric", "count", "mean", "stddev", "ci95_half", "min", "max",
-                 result.streamed ? "p50_approx" : "p50", result.streamed ? "p95_approx" : "p95"});
-    for (const MetricAggregate& a : result.aggregates) {
-      table.AddRow({a.metric, std::to_string(a.count), Table::Num(a.mean, 4),
-                    Table::Num(a.stddev, 4), Table::Num(a.ci95_half, 4), Table::Num(a.min, 4),
-                    Table::Num(a.max, 4), Table::Num(a.p50, 4), Table::Num(a.p95, 4)});
-    }
-    std::fputs(table.ToString().c_str(), stdout);
-  }
-  if (!csv_path.empty() && !WriteFileOrComplain(csv_path, agg_csv)) {
-    return 1;
-  }
-  if (!json_path.empty() &&
-      !WriteFileOrComplain(json_path, ResultSink::AggregatesToJson(result.scenario,
-                                                                   result.replication_count,
-                                                                   result.aggregates,
-                                                                   result.streamed))) {
-    return 1;
-  }
-  if (!reps_csv_path.empty() && !result.streamed &&
-      !WriteFileOrComplain(reps_csv_path, ResultSink::ReplicationsToCsv(result.replications))) {
-    return 1;
-  }
-  if (verbose) {
-    PrintHotPathStats();
-  }
-  return 0;
+  return Run(options, csv_path, json_path, reps_csv_path, binary_out_path, quiet, verbose);
 }
 
 }  // namespace

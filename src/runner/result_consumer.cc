@@ -1,6 +1,5 @@
 #include "runner/result_consumer.h"
 
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -109,52 +108,6 @@ void StreamingCsvWriter::EndCampaign() {
   if (!out_) {
     throw std::runtime_error("streaming CSV write failed");
   }
-}
-
-void OnlineAggregator::OnRecord(const ReplicationRecord& record) {
-  for (const auto& [name, value] : record.metrics) {
-    MetricState& state = metrics_.try_emplace(name).first->second;
-    state.summary.Add(value);
-    state.p50.Add(value);
-    state.p95.Add(value);
-  }
-}
-
-std::vector<MetricAggregate> OnlineAggregator::Aggregates() const {
-  std::vector<MetricAggregate> out;
-  out.reserve(metrics_.size());
-  for (const auto& [name, state] : metrics_) {
-    MetricAggregate agg;
-    agg.metric = name;
-    agg.count = state.summary.count();
-    agg.mean = state.summary.mean();
-    agg.stddev = state.summary.stddev();
-    agg.ci95_half = state.summary.count() > 1
-                        ? StudentT95(state.summary.count() - 1) * state.summary.stddev() /
-                              std::sqrt(static_cast<double>(state.summary.count()))
-                        : 0.0;
-    agg.min = state.summary.min();
-    agg.max = state.summary.max();
-    agg.p50 = state.p50.Value();
-    agg.p95 = state.p95.Value();
-    out.push_back(std::move(agg));
-  }
-  return out;
-}
-
-std::vector<ReplicationResult> InMemoryConsumer::ToReplicationResults() const {
-  std::vector<ReplicationResult> rows;
-  rows.reserve(records_.size());
-  for (const ReplicationRecord& record : records_) {
-    ReplicationResult row;
-    row.metrics = record.metrics;
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-std::vector<MetricAggregate> InMemoryConsumer::Aggregates() const {
-  return ResultSink::AggregateReplications(ToReplicationResults());
 }
 
 }  // namespace wlansim

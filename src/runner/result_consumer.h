@@ -1,19 +1,15 @@
 // The consumption half of the results pipeline: replication records flow
 // from the campaign worker pool through a ResultPipeline, which re-orders
 // them into replication order (workers finish out of order) and fans each
-// record out to every attached ResultConsumer. This replaces ResultSink's
-// buffer-everything model: a consumer only sees one record at a time, so a
-// 10^4..10^6-replication campaign can stream rows to disk and aggregate
-// online with peak memory independent of the replication count.
+// record out to every attached ResultConsumer. A consumer only sees one
+// record at a time, so a 10^4..10^6-replication campaign streams rows to
+// disk without holding them.
 //
-// Built-in consumers:
+// The campaign engine's own consumer is the per-point GroupEncoder
+// (results/binary_writer.h), the one store of a point's records. Others:
 //   - StreamingCsvWriter  appends one CSV row per replication as records
-//     arrive; byte-identical to ResultSink::ReplicationsToCsv when every
-//     replication reports the same metric set.
-//   - OnlineAggregator    Welford summaries + P-square p50/p95 per metric,
-//     O(metrics) memory; the --stream aggregation path.
-//   - InMemoryConsumer    buffers whole records; exact aggregation for the
-//     default (batch-equivalent) path and for tests.
+//     arrive (the --reps-csv writer).
+//   - InMemoryConsumer    buffers whole records; the test hook.
 
 #ifndef WLANSIM_RUNNER_RESULT_CONSUMER_H_
 #define WLANSIM_RUNNER_RESULT_CONSUMER_H_
@@ -27,8 +23,6 @@
 
 #include "runner/metric_recorder.h"
 #include "runner/result_sink.h"
-#include "stats/p2_quantile.h"
-#include "stats/summary.h"
 
 namespace wlansim {
 
@@ -96,11 +90,11 @@ class ResultPipeline {
   size_t max_pending_ = 0;
 };
 
-// Streams one CSV row per replication to `out` as records arrive. The
-// column set is fixed by the first record (metric names, sorted); a later
-// record with a different metric set throws std::runtime_error, because the
-// already-written header can no longer be amended. Output is byte-identical
-// to ResultSink::ReplicationsToCsv over the same rows.
+// Streams one CSV row per replication to `out` as records arrive:
+// `replication,<metric columns sorted by name>`. The column set is fixed by
+// the first record; a later record with a different metric set throws
+// std::runtime_error, because the already-written header can no longer be
+// amended.
 class StreamingCsvWriter final : public ResultConsumer {
  public:
   explicit StreamingCsvWriter(std::ostream& out) : out_(out) {}
@@ -119,40 +113,13 @@ class StreamingCsvWriter final : public ResultConsumer {
   bool wrote_header_ = false;
 };
 
-// Online aggregation: one Welford summary plus two P-square marker sets per
-// metric — O(metrics) memory however many replications stream through.
-// Aggregates() reports the same fields as exact aggregation, with p50/p95
-// replaced by their P-square estimates (label the columns approximate!).
-class OnlineAggregator final : public ResultConsumer {
- public:
-  void OnRecord(const ReplicationRecord& record) override;
-
-  std::vector<MetricAggregate> Aggregates() const;
-
- private:
-  struct MetricState {
-    Summary summary;
-    P2Quantile p50{0.50};
-    P2Quantile p95{0.95};
-  };
-  std::map<std::string, MetricState> metrics_;
-};
-
-// Buffers every record whole (scalars + distributions). This is the exact
-// aggregation path — identical numbers, hence identical CSV/JSON bytes, to
-// the historical ResultSink — and the natural consumer for tests.
+// Buffers every record whole (scalars + distributions): the natural
+// consumer for tests that compare runs record by record.
 class InMemoryConsumer final : public ResultConsumer {
  public:
   void OnRecord(const ReplicationRecord& record) override { records_.push_back(record); }
 
   const std::vector<ReplicationRecord>& records() const { return records_; }
-
-  // The records' scalar maps, as the legacy per-replication row vector.
-  std::vector<ReplicationResult> ToReplicationResults() const;
-
-  // Exact aggregates (sorted-sample quantiles), byte-identical to
-  // ResultSink::Aggregate over the same rows.
-  std::vector<MetricAggregate> Aggregates() const;
 
  private:
   std::vector<ReplicationRecord> records_;

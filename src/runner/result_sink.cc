@@ -5,9 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <map>
-#include <set>
-#include <stdexcept>
 
 #include "stats/summary.h"
 
@@ -17,12 +14,6 @@ namespace {
 // Local alias for the shared formatter; kept terse because every writer
 // line uses it.
 std::string Num(double v) { return CsvNum(v); }
-
-// The quantile column names under exact (sorted-sample) and approximate
-// (P-square) aggregation. Streamed campaigns must never present an estimate
-// as an exact percentile, so the approximate path renames the columns.
-const char* P50Label(bool approx) { return approx ? "p50_approx" : "p50"; }
-const char* P95Label(bool approx) { return approx ? "p95_approx" : "p95"; }
 
 }  // namespace
 
@@ -77,8 +68,8 @@ double StudentT95(uint64_t df) {
 
 namespace {
 
-// ExactQuantile on an already-sorted sample, so Aggregate can sort each
-// metric once and read several quantiles off it.
+// ExactQuantile on an already-sorted sample, so a fold can sort each
+// column once and read several quantiles off it.
 double QuantileSorted(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) {
     return 0.0;
@@ -100,116 +91,41 @@ double ExactQuantile(std::vector<double> values, double q) {
   return QuantileSorted(values, q);
 }
 
-ResultSink::ResultSink(size_t replications)
-    : replications_(replications), stored_(replications, false) {}
-
-void ResultSink::Store(size_t replication, ReplicationResult result) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (replication >= replications_.size()) {
-    throw std::out_of_range("replication index " + std::to_string(replication) +
-                            " outside sink of " + std::to_string(replications_.size()));
+MetricAggregate AggregateScalarSamples(const std::string& name, std::vector<double> values) {
+  Summary summary;
+  for (double v : values) {
+    summary.Add(v);
   }
-  if (stored_[replication]) {
-    throw std::logic_error("replication " + std::to_string(replication) +
-                           " stored twice (double-set replication index)");
-  }
-  stored_[replication] = true;
-  replications_[replication] = std::move(result);
+  MetricAggregate agg;
+  agg.metric = name;
+  agg.count = summary.count();
+  agg.mean = summary.mean();
+  agg.stddev = summary.stddev();
+  agg.ci95_half = summary.count() > 1
+                      ? StudentT95(summary.count() - 1) * summary.stddev() /
+                            std::sqrt(static_cast<double>(summary.count()))
+                      : 0.0;
+  agg.min = summary.min();
+  agg.max = summary.max();
+  // One sort serves both quantiles: bit-identical to two ExactQuantile
+  // calls, at half the sorting.
+  std::sort(values.begin(), values.end());
+  agg.p50 = QuantileSorted(values, 0.50);
+  agg.p95 = QuantileSorted(values, 0.95);
+  return agg;
 }
 
-std::vector<MetricAggregate> ResultSink::Aggregate() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return AggregateReplications(replications_);
-}
-
-std::vector<MetricAggregate> ResultSink::AggregateReplications(
-    const std::vector<ReplicationResult>& replications) {
-  // The rows are all in memory, so quantiles are exact: collect each
-  // metric's values alongside its running summary.
-  std::map<std::string, std::pair<Summary, std::vector<double>>> by_metric;
-  for (const ReplicationResult& rep : replications) {
-    for (const auto& [name, value] : rep.metrics) {
-      auto& [summary, values] = by_metric[name];
-      summary.Add(value);
-      values.push_back(value);
-    }
-  }
-  std::vector<MetricAggregate> out;
-  out.reserve(by_metric.size());
-  for (auto& [name, entry] : by_metric) {
-    auto& [summary, values] = entry;
-    MetricAggregate agg;
-    agg.metric = name;
-    agg.count = summary.count();
-    agg.mean = summary.mean();
-    agg.stddev = summary.stddev();
-    agg.ci95_half = summary.count() > 1
-                        ? StudentT95(summary.count() - 1) * summary.stddev() /
-                              std::sqrt(static_cast<double>(summary.count()))
-                        : 0.0;
-    agg.min = summary.min();
-    agg.max = summary.max();
-    std::sort(values.begin(), values.end());
-    agg.p50 = QuantileSorted(values, 0.50);
-    agg.p95 = QuantileSorted(values, 0.95);
-    out.push_back(std::move(agg));
-  }
-  return out;
-}
-
-std::string ResultSink::ReplicationsToCsv(const std::vector<ReplicationResult>& replications) {
-  std::set<std::string> columns;
-  for (const ReplicationResult& rep : replications) {
-    for (const auto& [name, value] : rep.metrics) {
-      columns.insert(name);
-    }
-  }
-  std::string csv = "replication";
-  for (const std::string& c : columns) {
-    csv += ",";
-    csv += CsvField(c);
-  }
-  csv += "\n";
-  for (size_t i = 0; i < replications.size(); ++i) {
-    csv += std::to_string(i);
-    for (const std::string& c : columns) {
-      auto it = replications[i].metrics.find(c);
-      csv += ",";
-      if (it != replications[i].metrics.end()) {
-        csv += Num(it->second);
-      }
-    }
-    csv += "\n";
-  }
-  return csv;
-}
-
-std::string ResultSink::AggregatesToCsv(const std::vector<MetricAggregate>& aggregates,
-                                        bool approx_quantiles) {
-  std::string csv = "metric,count,mean,stddev,ci95_half,min,max," +
-                    std::string(P50Label(approx_quantiles)) + "," +
-                    P95Label(approx_quantiles) + "\n";
-  for (const MetricAggregate& a : aggregates) {
-    csv += CsvField(a.metric) + "," + std::to_string(a.count) + "," + Num(a.mean) + "," +
-           Num(a.stddev) + "," + Num(a.ci95_half) + "," + Num(a.min) + "," + Num(a.max) + "," +
-           Num(a.p50) + "," + Num(a.p95) + "\n";
-  }
-  return csv;
-}
-
-std::string ResultSink::SweepLongCsvHeader(const std::vector<std::string>& param_keys,
-                                           bool approx_quantiles) {
+std::string SweepLongCsvHeader(const std::vector<std::string>& param_keys) {
   std::string csv;
   for (const std::string& key : param_keys) {
     csv += CsvField(key) + ",";
   }
-  csv += "metric,count,mean,stddev,ci95_half,min,max," +
-         std::string(P50Label(approx_quantiles)) + "," + P95Label(approx_quantiles) + "\n";
+  csv += "metric,count,mean,stddev,ci95_half,min,max,p50,p95\n";
   return csv;
 }
 
-std::string ResultSink::SweepLongCsvRows(const std::vector<std::string>& param_values,
-                                         const std::vector<MetricAggregate>& aggregates) {
+std::string SweepLongCsvRows(const std::vector<std::string>& param_values,
+                             const std::vector<MetricAggregate>& aggregates) {
   std::string prefix;
   for (const std::string& value : param_values) {
     prefix += CsvField(value) + ",";
@@ -223,10 +139,9 @@ std::string ResultSink::SweepLongCsvRows(const std::vector<std::string>& param_v
   return csv;
 }
 
-std::string ResultSink::SweepLongCsv(const std::vector<std::string>& param_keys,
-                                     const std::vector<SweepRow>& rows,
-                                     bool approx_quantiles) {
-  std::string csv = SweepLongCsvHeader(param_keys, approx_quantiles);
+std::string SweepLongCsv(const std::vector<std::string>& param_keys,
+                         const std::vector<SweepRow>& rows) {
+  std::string csv = SweepLongCsvHeader(param_keys);
   for (const SweepRow& row : rows) {
     assert(row.param_values.size() == param_keys.size());
     csv += SweepLongCsvRows(row.param_values, row.aggregates);
@@ -234,10 +149,8 @@ std::string ResultSink::SweepLongCsv(const std::vector<std::string>& param_keys,
   return csv;
 }
 
-std::string ResultSink::AggregatesToJson(const std::string& scenario_name,
-                                         uint64_t replications,
-                                         const std::vector<MetricAggregate>& aggregates,
-                                         bool approx_quantiles) {
+std::string AggregatesToJson(const std::string& scenario_name, uint64_t replications,
+                             const std::vector<MetricAggregate>& aggregates) {
   std::string json = "{\n  \"scenario\": \"" + scenario_name + "\",\n  \"replications\": " +
                      std::to_string(replications) + ",\n  \"metrics\": {";
   bool first = true;
@@ -247,8 +160,8 @@ std::string ResultSink::AggregatesToJson(const std::string& scenario_name,
     json += "    \"" + a.metric + "\": {\"count\": " + std::to_string(a.count) +
             ", \"mean\": " + Num(a.mean) + ", \"stddev\": " + Num(a.stddev) +
             ", \"ci95_half\": " + Num(a.ci95_half) + ", \"min\": " + Num(a.min) +
-            ", \"max\": " + Num(a.max) + ", \"" + P50Label(approx_quantiles) +
-            "\": " + Num(a.p50) + ", \"" + P95Label(approx_quantiles) + "\": " + Num(a.p95) + "}";
+            ", \"max\": " + Num(a.max) + ", \"p50\": " + Num(a.p50) + ", \"p95\": " + Num(a.p95) +
+            "}";
   }
   json += "\n  }\n}\n";
   return json;

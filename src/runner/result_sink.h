@@ -1,15 +1,13 @@
-// Collects per-replication metric rows and aggregates them into
-// mean / stddev / 95 % confidence intervals, with CSV and JSON writers.
+// Aggregate statistics over replication samples — mean / stddev / 95 %
+// confidence interval / exact quantiles — and the shared CSV/JSON writers
+// every output path formats them with.
 
 #ifndef WLANSIM_RUNNER_RESULT_SINK_H_
 #define WLANSIM_RUNNER_RESULT_SINK_H_
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
-
-#include "runner/scenario.h"
 
 namespace wlansim {
 
@@ -22,20 +20,27 @@ struct MetricAggregate {
   double ci95_half = 0.0; // Student-t 95 % confidence half-width on the mean
   double min = 0.0;
   double max = 0.0;
-  double p50 = 0.0;  // exact median over the stored replications
-  double p95 = 0.0;  // exact 95th percentile over the stored replications
+  double p50 = 0.0;  // exact sample median
+  double p95 = 0.0;  // exact sample 95th percentile
 };
 
 // Exact sample quantile with linear interpolation between order statistics
 // (the R type-7 / NumPy default): for n values, rank h = (n-1)q, result is
 // v[floor(h)] + (h - floor(h)) * (v[floor(h)+1] - v[floor(h)]). `values`
-// need not be sorted; it is copied. Returns 0 for an empty sample. Exposed
-// for the quantile-math tests.
+// need not be sorted; it is copied. Returns 0 for an empty sample. The
+// reference the aggregation tests compare against.
 double ExactQuantile(std::vector<double> values, double q);
 
 // Two-sided 95 % Student-t critical value for `df` degrees of freedom
 // (asymptotically 1.960). Exposed for the aggregation test.
 double StudentT95(uint64_t df);
+
+// The one aggregation every output path runs — the campaign engine's
+// per-point fold, `wlansim_results aggregate`, export, and the query
+// server: Welford mean/stddev/CI over `values` in the given (replication)
+// order, then exact p50/p95 read off the column sorted once. Taken by
+// value: a caller done with its column moves it in and the sort reuses it.
+MetricAggregate AggregateScalarSamples(const std::string& name, std::vector<double> values);
 
 // RFC 4180 field quoting: fields containing a comma, double quote, CR or LF
 // are wrapped in double quotes with embedded quotes doubled; everything else
@@ -45,8 +50,7 @@ double StudentT95(uint64_t df);
 std::string CsvField(const std::string& field);
 
 // The fixed-width, locale-independent "%.9g" number format every CSV/JSON
-// writer uses — shared so the streaming row writer is byte-identical to the
-// batch one.
+// writer uses, so identical campaigns produce byte-identical files.
 std::string CsvNum(double v);
 
 // One row of a long-format sweep CSV: the swept parameter values (parallel
@@ -56,72 +60,23 @@ struct SweepRow {
   std::vector<MetricAggregate> aggregates;
 };
 
-// Batch (buffer-everything) replication collector. The campaign runner now
-// streams results through ResultPipeline/ResultConsumer instead; ResultSink
-// remains the exact-aggregation building block for bounded collections (the
-// perf harness, tests) and the home of the shared CSV/JSON formatters.
-class ResultSink {
- public:
-  // Sized upfront so workers can store results by replication index; the
-  // aggregate therefore never depends on completion order.
-  explicit ResultSink(size_t replications);
+// Long-format aggregate CSV: header `<param_keys...>,metric,count,mean,
+// stddev,ci95_half,min,max,p50,p95`, then one row per (grid point, metric).
+// Rows from a shard slice concatenate under a single header into exactly
+// the unsharded output. With no keys this is the campaign aggregate table.
+std::string SweepLongCsv(const std::vector<std::string>& param_keys,
+                         const std::vector<SweepRow>& rows);
 
-  // Thread-safe; each index must be set exactly once. Throws
-  // std::out_of_range for an index beyond the sized capacity and
-  // std::logic_error when the index was already stored — a double-set
-  // replication is a seeding/scheduling bug, not a row to overwrite.
-  void Store(size_t replication, ReplicationResult result);
+// The pieces SweepLongCsv is assembled from, shared with the streaming
+// writer, the binary-export path and the query server so their bytes
+// cannot drift: the header line, and one grid point's block of rows.
+std::string SweepLongCsvHeader(const std::vector<std::string>& param_keys);
+std::string SweepLongCsvRows(const std::vector<std::string>& param_values,
+                             const std::vector<MetricAggregate>& aggregates);
 
-  const std::vector<ReplicationResult>& replications() const { return replications_; }
-
-  // Per-metric aggregates over every stored replication, ordered by metric
-  // name. Metrics absent from some replications aggregate over the
-  // replications that do report them.
-  std::vector<MetricAggregate> Aggregate() const;
-
-  // The exact aggregation underlying Aggregate(), over any row vector; the
-  // in-memory pipeline consumer shares it so batch and exact-streamed
-  // aggregates are the same numbers, hence the same bytes.
-  static std::vector<MetricAggregate> AggregateReplications(
-      const std::vector<ReplicationResult>& replications);
-
-  // One CSV row per replication: replication,<metric columns sorted by name>.
-  static std::string ReplicationsToCsv(const std::vector<ReplicationResult>& replications);
-
-  // One CSV row per metric: metric,count,mean,stddev,ci95_half,min,max,p50,p95.
-  // When `approx_quantiles` is set (online P-square aggregation), the
-  // quantile columns are labeled p50_approx/p95_approx so downstream tooling
-  // can never mistake an estimate for an exact sample quantile.
-  static std::string AggregatesToCsv(const std::vector<MetricAggregate>& aggregates,
-                                     bool approx_quantiles = false);
-
-  // {"scenario": ..., "replications": N, "metrics": {name: {...}, ...}}
-  // Approximate quantiles are keyed p50_approx/p95_approx, as in the CSV.
-  static std::string AggregatesToJson(const std::string& scenario_name, uint64_t replications,
-                                      const std::vector<MetricAggregate>& aggregates,
-                                      bool approx_quantiles = false);
-
-  // Long-format sweep CSV: header `<param_keys...>,metric,count,mean,stddev,
-  // ci95_half,min,max,p50,p95`, then one row per (grid point, metric). Rows from a
-  // shard slice concatenate under a single header into exactly the unsharded
-  // output. `approx_quantiles` relabels the quantile columns as above.
-  static std::string SweepLongCsv(const std::vector<std::string>& param_keys,
-                                  const std::vector<SweepRow>& rows,
-                                  bool approx_quantiles = false);
-
-  // The pieces SweepLongCsv is assembled from, shared with the streaming
-  // sweep writer and the binary-export path so their bytes cannot drift:
-  // the header line, and one grid point's block of per-metric rows.
-  static std::string SweepLongCsvHeader(const std::vector<std::string>& param_keys,
-                                        bool approx_quantiles);
-  static std::string SweepLongCsvRows(const std::vector<std::string>& param_values,
-                                      const std::vector<MetricAggregate>& aggregates);
-
- private:
-  mutable std::mutex mu_;
-  std::vector<ReplicationResult> replications_;
-  std::vector<bool> stored_;
-};
+// {"scenario": ..., "replications": N, "metrics": {name: {...}, ...}}
+std::string AggregatesToJson(const std::string& scenario_name, uint64_t replications,
+                             const std::vector<MetricAggregate>& aggregates);
 
 }  // namespace wlansim
 

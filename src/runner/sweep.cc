@@ -3,13 +3,17 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <exception>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 
 #include "core/random.h"
-#include "runner/campaign.h"
+#include "results/binary_reader.h"
+#include "results/binary_writer.h"
 #include "runner/metric_recorder.h"
 #include "runner/result_consumer.h"
 #include "runner/scenario_registry.h"
@@ -23,6 +27,65 @@ std::string Num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   return buf;
+}
+
+// Runs `total` independent tasks (task(0) .. task(total-1)) on a pool of
+// `jobs` worker threads (0 = hardware concurrency; the pool is clamped to
+// `total` so no idle threads spin up). Tasks are claimed from one shared
+// atomic counter, so any task can run on any thread — results must not
+// depend on the assignment. If a task throws, remaining unclaimed tasks are
+// skipped and the first exception is rethrown on the calling thread.
+void RunTaskPool(unsigned jobs, uint64_t total, const std::function<void(uint64_t)>& task) {
+  if (total == 0) {
+    return;
+  }
+  if (jobs == 0) {
+    jobs = std::thread::hardware_concurrency();
+    if (jobs == 0) {
+      jobs = 1;
+    }
+  }
+  if (total < jobs) {
+    jobs = static_cast<unsigned>(total);
+  }
+
+  std::atomic<uint64_t> next{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr first_error;
+  std::mutex error_mu;
+
+  auto worker = [&]() {
+    for (uint64_t i = next.fetch_add(1); i < total; i = next.fetch_add(1)) {
+      if (failed.load(std::memory_order_relaxed)) {
+        return;  // a task already threw; don't burn the remaining work
+      }
+      try {
+        task(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (!first_error) {
+          first_error = std::current_exception();
+        }
+        failed.store(true, std::memory_order_relaxed);
+      }
+    }
+  };
+
+  if (jobs == 1) {
+    worker();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(jobs);
+    for (unsigned t = 0; t < jobs; ++t) {
+      pool.emplace_back(worker);
+    }
+    for (std::thread& t : pool) {
+      t.join();
+    }
+  }
+  if (first_error) {
+    std::rethrow_exception(first_error);
+  }
 }
 
 [[noreturn]] void ThrowBadSpec(const std::string& spec, const std::string& why) {
@@ -165,20 +228,19 @@ void StreamingSweepCsvWriter::BeginSweep(const SweepManifest& manifest) {
         "StreamingSweepCsvWriter attached to a second sweep: one writer, one stream");
   }
   begun_ = true;
-  streamed_ = manifest.streamed;
-  out_ << ResultSink::SweepLongCsvHeader(manifest.param_keys, streamed_);
+  out_ << SweepLongCsvHeader(manifest.param_keys);
 }
 
 void StreamingSweepCsvWriter::OnPointDone(const SweepPointInfo& info,
                                           const std::vector<MetricAggregate>& aggregates,
-                                          ResultConsumer* point_consumer) {
-  (void)point_consumer;
+                                          const BinaryGroup& group) {
+  (void)group;
   std::vector<std::string> values;
   values.reserve(info.point.size());
   for (const auto& [key, value] : info.point) {
     values.push_back(value);
   }
-  out_ << ResultSink::SweepLongCsvRows(values, aggregates);
+  out_ << SweepLongCsvRows(values, aggregates);
 }
 
 void StreamingSweepCsvWriter::EndSweep() {
@@ -195,7 +257,10 @@ uint64_t SweepPointSeed(uint64_t base_seed,
   // layout, or the order axes were declared in. Keys and values are
   // length-prefixed so the encoding is injective — no two distinct
   // assignments serialize to the same stream name, whatever characters the
-  // values contain.
+  // values contain. A campaign's point sets nothing and keeps base_seed.
+  if (point.empty()) {
+    return base_seed;
+  }
   std::vector<std::pair<std::string, std::string>> sorted = point;
   std::sort(sorted.begin(), sorted.end());
   std::string stream = "sweep";
@@ -219,6 +284,14 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
                                   "' given both as --param and --sweep");
     }
   }
+  if (options.replications == 0) {
+    throw std::invalid_argument("a run needs at least one replication per grid point");
+  }
+  if (!options.consumers.empty() && !options.grid.empty()) {
+    throw std::invalid_argument(
+        "per-replication consumers need a zero-axis grid (a campaign): one consumer serves one "
+        "record stream");
+  }
 
   const size_t total = options.grid.NumPoints();
   const auto [begin, end] = ShardRange(total, options.shard_index, options.shard_count);
@@ -226,21 +299,19 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
   // Validate the whole grid's keys up front (all points share them), so an
   // unknown parameter fails fast even when this shard's slice is empty.
   const Scenario* scenario_ptr = ScenarioRegistry::Global().Find(options.scenario);
+  if (scenario_ptr == nullptr) {
+    std::string msg = "unknown scenario '" + options.scenario + "'; available:";
+    for (const std::string& name : ScenarioRegistry::Global().Names()) {
+      msg += " " + name;
+    }
+    throw std::invalid_argument(msg);
+  }
   {
-    CampaignOptions probe;
-    probe.scenario = options.scenario;
-    probe.params = options.base_params;
+    ScenarioParams probe = options.base_params;
     for (const auto& [key, value] : options.grid.Point(0)) {
-      probe.params.Set(key, value);
+      probe.Set(key, value);
     }
-    if (scenario_ptr == nullptr) {
-      // Reuse RunCampaign's unknown-scenario message (lists what exists);
-      // zero replications so the throw is the only effect.
-      probe.replications = 0;
-      RunCampaign(probe);
-      throw std::invalid_argument("unknown scenario '" + options.scenario + "'");  // unreachable
-    }
-    scenario_ptr->ValidateParams(probe.params);
+    scenario_ptr->ValidateParams(probe);
   }
 
   SweepResult result;
@@ -249,36 +320,34 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
   result.replications = options.replications;
   result.param_keys = options.grid.Keys();
 
-  result.streamed = options.stream;
-
   // One global (point, rep) work queue: with per-point parallelism alone,
   // reps < jobs leaves workers idle at every grid point; flattening the
   // whole shard's task space keeps the pool saturated. Replication seeds
   // stay keyed by (point assignment, rep), never by which thread or in what
-  // order a task runs, so the CSV is byte-identical for any --jobs value.
+  // order a task runs, so every output is byte-identical for any --jobs.
   const size_t n_points = end - begin;
   const uint64_t reps = options.replications;
   const Scenario& scenario = *scenario_ptr;
 
-  // Each grid point owns a result pipeline with one aggregation consumer:
-  // exact in-memory by default, online (O(metrics) memory) when streaming.
-  // The worker that finishes a point's last rep aggregates it and frees the
-  // collector, so exact-mode peak memory stays O(reps) per in-flight point
-  // — and streaming mode is O(metrics) per point outright.
+  // Each grid point owns a result pipeline whose built-in consumer is the
+  // point's GroupEncoder. The worker that finishes a point's last rep
+  // finishes the group, folds it and frees the collector, so peak memory
+  // is one encoded group per in-flight point.
   struct PointCollector {
-    explicit PointCollector(CampaignManifest manifest) : pipeline(std::move(manifest)) {}
+    PointCollector(CampaignManifest manifest, const SweepPointInfo& info,
+                   std::vector<std::string> param_values)
+        : pipeline(manifest),
+          encoder(info.point_index, info.point_seed, std::move(param_values),
+                  manifest.replications) {}
     ResultPipeline pipeline;
-    InMemoryConsumer memory;
-    OnlineAggregator online;
+    GroupEncoder encoder;
   };
 
-  // Announce the sweep to the point sinks before any point is set up, so
-  // MakePointConsumer always runs on a sink that has seen its manifest.
+  // Announce the run to the point sinks before any point is set up.
   SweepManifest sweep_manifest;
   sweep_manifest.scenario = options.scenario;
   sweep_manifest.base_seed = options.base_seed;
   sweep_manifest.replications = reps;
-  sweep_manifest.streamed = options.stream;
   sweep_manifest.param_keys = result.param_keys;
   sweep_manifest.shard_points = n_points;
   sweep_manifest.total_points = total;
@@ -289,33 +358,28 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
   std::vector<SweepPointInfo> point_infos(n_points);
   std::vector<ScenarioParams> point_params(n_points);
   std::vector<std::unique_ptr<PointCollector>> collectors(n_points);
-  // Per point, one optional consumer per sink (parallel to point_sinks).
-  std::vector<std::vector<std::unique_ptr<ResultConsumer>>> point_consumers(n_points);
   std::vector<std::atomic<uint64_t>> completed(n_points);
   for (size_t p = 0; p < n_points; ++p) {
     SweepPointInfo& info = point_infos[p];
     info.point_index = begin + p;
     info.point = options.grid.Point(begin + p);
     point_params[p] = options.base_params;
+    std::vector<std::string> param_values;
+    param_values.reserve(info.point.size());
     for (const auto& [key, value] : info.point) {
       point_params[p].Set(key, value);
+      param_values.push_back(value);
     }
     info.point_seed = SweepPointSeed(options.base_seed, info.point);
     CampaignManifest manifest;
     manifest.scenario = options.scenario;
     manifest.base_seed = info.point_seed;
     manifest.replications = reps;
-    collectors[p] = std::make_unique<PointCollector>(std::move(manifest));
-    collectors[p]->pipeline.AddConsumer(options.stream
-                                            ? static_cast<ResultConsumer*>(&collectors[p]->online)
-                                            : &collectors[p]->memory);
-    point_consumers[p].reserve(options.point_sinks.size());
-    for (SweepPointSink* sink : options.point_sinks) {
-      std::unique_ptr<ResultConsumer> consumer = sink->MakePointConsumer(info);
-      if (consumer != nullptr) {
-        collectors[p]->pipeline.AddConsumer(consumer.get());
-      }
-      point_consumers[p].push_back(std::move(consumer));
+    collectors[p] =
+        std::make_unique<PointCollector>(std::move(manifest), info, std::move(param_values));
+    collectors[p]->pipeline.AddConsumer(&collectors[p]->encoder);
+    for (ResultConsumer* consumer : options.consumers) {
+      collectors[p]->pipeline.AddConsumer(consumer);
     }
     collectors[p]->pipeline.Begin();
   }
@@ -328,13 +392,17 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
   }
 
   // Points complete in worker order, but sinks see them in grid order:
-  // a completed point parks its aggregates here until every earlier point
-  // is done, then the in-order prefix flushes under the lock — the same
-  // reorder-buffer shape ResultPipeline uses per replication. Depth is
-  // bounded by the pool's completion skew, never by the grid size.
+  // a completed point parks its group and aggregates here until every
+  // earlier point is done, then the in-order prefix flushes under the lock
+  // — the same reorder-buffer shape ResultPipeline uses per replication.
+  // Depth is bounded by the pool's completion skew, never by the grid size.
+  struct DonePoint {
+    BinaryGroup group;
+    std::vector<MetricAggregate> aggregates;
+  };
   std::mutex sink_mu;
   size_t next_point = 0;
-  std::map<size_t, std::vector<MetricAggregate>> pending_done;
+  std::map<size_t, DonePoint> pending_done;
 
   RunTaskPool(options.jobs, static_cast<uint64_t>(n_points) * reps, [&](uint64_t task) {
     const size_t p = static_cast<size_t>(task / reps);
@@ -349,23 +417,20 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
     collector.pipeline.Deliver(recorder.Finish(rep, returned));
     if (completed[p].fetch_add(1, std::memory_order_acq_rel) + 1 == reps) {
       collector.pipeline.End();
-      std::vector<MetricAggregate> aggregates =
-          options.stream ? collector.online.Aggregates()
-                         : ResultSink::AggregateReplications(
-                               collector.memory.ToReplicationResults());
+      DonePoint done;
+      done.group = collector.encoder.Finish();
       collectors[p].reset();
+      done.aggregates = AggregateGroup(done.group);
       if (options.retain_points) {
-        result.points[p].aggregates = aggregates;
+        result.points[p].aggregates = done.aggregates;
       }
       std::lock_guard<std::mutex> lock(sink_mu);
-      pending_done.emplace(p, std::move(aggregates));
+      pending_done.emplace(p, std::move(done));
       while (!pending_done.empty() && pending_done.begin()->first == next_point) {
-        const size_t q = pending_done.begin()->first;
-        for (size_t s = 0; s < options.point_sinks.size(); ++s) {
-          options.point_sinks[s]->OnPointDone(point_infos[q], pending_done.begin()->second,
-                                              point_consumers[q][s].get());
+        const DonePoint& head = pending_done.begin()->second;
+        for (SweepPointSink* sink : options.point_sinks) {
+          sink->OnPointDone(point_infos[next_point], head.aggregates, head.group);
         }
-        point_consumers[q].clear();
         pending_done.erase(pending_done.begin());
         ++next_point;
       }
@@ -390,7 +455,7 @@ std::string SweepResultToCsv(const SweepResult& result) {
     row.aggregates = point.aggregates;
     rows.push_back(std::move(row));
   }
-  return ResultSink::SweepLongCsv(result.param_keys, rows, result.streamed);
+  return SweepLongCsv(result.param_keys, rows);
 }
 
 }  // namespace wlansim

@@ -1,18 +1,24 @@
-// Parameter-sweep campaigns: expand a cartesian grid of scenario parameters,
-// feed every (grid point, replication) pair of this shard through one global
-// worker pool, and aggregate everything into one long-format table. The
+// The campaign engine. A run is a cartesian grid of scenario parameters —
+// a plain campaign is the grid with zero axes, whose single point is the
+// base parameter set — and the engine feeds every (grid point,
+// replication) pair of this shard through one global worker pool. The
 // flattened task queue keeps the pool saturated even when replications <
 // jobs (per-point batching would idle the spare workers at every point).
 // Replication seeds are derived from the *parameter assignment* of each
 // point (not its grid index, shard, or worker), so results are
 // byte-identical for any --jobs value, any --shard=i/n split, and even any
 // axis ordering.
+//
+// Each point's records stream, in replication order, into that point's
+// WLSR GroupEncoder, the only record store. When the point's last
+// replication lands, the engine folds the finished group one column at a
+// time (AggregateGroup: exact quantiles at any replication count) and hands
+// group and aggregates to the point sinks.
 
 #ifndef WLANSIM_RUNNER_SWEEP_H_
 #define WLANSIM_RUNNER_SWEEP_H_
 
 #include <cstdint>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -23,6 +29,8 @@
 #include "runner/scenario.h"
 
 namespace wlansim {
+
+struct BinaryGroup;
 
 // One swept parameter: a key and its ordered value list.
 struct SweepAxis {
@@ -77,8 +85,7 @@ struct SweepManifest {
   std::string scenario;
   uint64_t base_seed = 1;
   uint64_t replications = 0;  // per grid point
-  bool streamed = false;      // per-point aggregation is online (P-square)
-  std::vector<std::string> param_keys;  // axis keys, axis order
+  std::vector<std::string> param_keys;  // axis keys, axis order; empty for a campaign
   size_t shard_points = 0;  // grid points this shard runs
   size_t total_points = 0;  // whole grid
 };
@@ -103,33 +110,22 @@ class SweepPointSink {
   // Called once, before any point runs.
   virtual void BeginSweep(const SweepManifest& manifest) { (void)manifest; }
 
-  // A sink may request a per-point ResultConsumer, attached to that point's
-  // result pipeline (records arrive in replication order, serialized). The
-  // engine owns the consumer and hands it back in OnPointDone so the sink
-  // can harvest whatever it accumulated. Return nullptr (the default) when
-  // the per-point aggregates suffice. Called serially during sweep setup,
-  // in grid order, before any replication runs.
-  virtual std::unique_ptr<ResultConsumer> MakePointConsumer(const SweepPointInfo& info) {
-    (void)info;
-    return nullptr;
-  }
-
-  // Called once per grid point, in grid order. `point_consumer` is the
-  // consumer MakePointConsumer returned for this point (nullptr otherwise)
-  // and dies when OnPointDone returns.
+  // Called once per grid point, in grid order, with the point's exact
+  // aggregates and its finished WLSR group (every record, encoded; see
+  // results/binary_reader.h). The group dies when OnPointDone returns.
   virtual void OnPointDone(const SweepPointInfo& info,
                            const std::vector<MetricAggregate>& aggregates,
-                           ResultConsumer* point_consumer) = 0;
+                           const BinaryGroup& group) = 0;
 
   // Called once, after the last point.
   virtual void EndSweep() {}
 };
 
-// Streams the long-format sweep CSV (header + one row per point and metric)
-// to `out` as points complete, byte-identical to SweepResultToCsv over the
-// same sweep — the header is a pure function of the manifest and each
-// point's rows are a pure function of its aggregates, so nothing needs to
-// wait for the sweep to end.
+// Streams the long-format CSV (header + one row per point and metric) to
+// `out` as points complete, byte-identical to SweepResultToCsv over the
+// same run — the header is a pure function of the manifest and each point's
+// rows are a pure function of its aggregates, so nothing needs to wait for
+// the run to end. With zero axes this is the campaign aggregate CSV.
 class StreamingSweepCsvWriter final : public SweepPointSink {
  public:
   explicit StreamingSweepCsvWriter(std::ostream& out) : out_(out) {}
@@ -137,12 +133,11 @@ class StreamingSweepCsvWriter final : public SweepPointSink {
   void BeginSweep(const SweepManifest& manifest) override;
   void OnPointDone(const SweepPointInfo& info,
                    const std::vector<MetricAggregate>& aggregates,
-                   ResultConsumer* point_consumer) override;
+                   const BinaryGroup& group) override;
   void EndSweep() override;
 
  private:
   std::ostream& out_;
-  bool streamed_ = false;
   bool begun_ = false;
 };
 
@@ -155,21 +150,20 @@ struct SweepOptions {
   uint64_t base_seed = 1;
   uint64_t replications = 1;
   // Worker threads for the shard's whole (point, replication) task queue
-  // (0 = hardware concurrency, same meaning as CampaignOptions::jobs).
+  // (0 = hardware concurrency).
   unsigned jobs = 1;
   // This process runs the grid points in ShardRange(n, shard_index, shard_count).
   unsigned shard_index = 0;
   unsigned shard_count = 1;
-  // Streaming mode: each grid point aggregates online (Welford + P-square
-  // quantiles) instead of buffering its replication rows, so per-point peak
-  // memory is O(metrics) however many replications run. The long CSV's
-  // quantile columns are then labeled p50_approx/p95_approx. Off by
-  // default: exact aggregation keeps sweep CSVs byte-identical to the batch
-  // collector.
-  bool stream = false;
   // Per-point completion sinks (not owned, must outlive RunSweepCampaign).
   // Each receives every point in grid order; see SweepPointSink.
   std::vector<SweepPointSink*> point_sinks;
+  // Per-replication record consumers (not owned, must outlive the run),
+  // attached next to the point's encoder so they see every record in
+  // replication order — this is how --reps-csv streams rows to disk. Only
+  // a zero-axis grid (a campaign) accepts them: one consumer serves one
+  // record stream.
+  std::vector<ResultConsumer*> consumers;
   // When false, SweepResult::points stays empty — the sinks are the only
   // output, and peak memory no longer grows with the shard's point count.
   // (Aggregates are still computed per point and handed to the sinks.)
@@ -187,25 +181,30 @@ struct SweepResult {
   std::string scenario;
   uint64_t base_seed = 1;
   uint64_t replications = 1;
-  bool streamed = false;  // aggregates' p50/p95 are P-square estimates
   std::vector<std::string> param_keys;   // axis keys, axis order
   std::vector<SweepPointResult> points;  // this shard's slice, grid order
 };
 
 // The base seed for one grid point's replication batch: a substream of
-// `base_seed` keyed by the point's sorted key=value assignment. Exposed so
-// tests can assert shard/order independence directly.
+// `base_seed` keyed by the point's sorted key=value assignment. The empty
+// assignment — a campaign's single point — is `base_seed` itself, so a
+// campaign's replication seeds are SubstreamSeed(base_seed, scenario, i).
+// Exposed so tests can assert shard/order independence directly.
 uint64_t SweepPointSeed(uint64_t base_seed,
                         const std::vector<std::pair<std::string, std::string>>& point);
 
-// Expands the grid, takes this shard's slice, and runs one Campaign
-// (options.replications replications on options.jobs threads) per grid
-// point. Throws std::invalid_argument for an unknown scenario, an unknown or
-// ambiguous parameter, or an invalid shard spec.
+// Expands the grid, takes this shard's slice, and runs
+// options.replications replications of every grid point on options.jobs
+// threads. Throws std::invalid_argument for an unknown scenario (the
+// message lists the registered ones), an unknown or ambiguous parameter,
+// an invalid shard spec, zero replications, or consumers on a grid with
+// axes. A scenario
+// exception, or a replication whose metric set differs from the first
+// replication's, is rethrown on the calling thread.
 SweepResult RunSweepCampaign(const SweepOptions& options);
 
 // The long-format combined CSV for a sweep (header + one row per point and
-// metric), emitted via ResultSink::SweepLongCsv.
+// metric), emitted via SweepLongCsv.
 std::string SweepResultToCsv(const SweepResult& result);
 
 }  // namespace wlansim

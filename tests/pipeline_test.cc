@@ -1,92 +1,24 @@
-// Results-pipeline tests: P-square accuracy against exact sample quantiles,
-// ordered fan-out through the reorder buffer (out-of-order completion,
-// double-set detection), MetricRecorder flush rules, golden streamed-vs-batch
-// CSV byte-identity in exact mode (campaign and sharded sweep), and
-// streaming-mode determinism across worker counts.
+// Results-pipeline tests: ordered fan-out through the reorder buffer
+// (out-of-order completion, double-set detection), MetricRecorder flush
+// rules, streamed per-replication CSV byte-identity (across worker counts
+// and against the run's own WLSR records), and sharded sweep CSV merging.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/random.h"
-#include "runner/campaign.h"
+#include "results/binary_reader.h"
+#include "results/binary_writer.h"
 #include "runner/metric_recorder.h"
 #include "runner/result_consumer.h"
 #include "runner/result_sink.h"
-#include "runner/scenario_registry.h"
 #include "runner/sweep.h"
-#include "stats/p2_quantile.h"
 
 namespace wlansim {
 namespace {
-
-// --- P-square quantile estimation ----------------------------------------------
-
-TEST(P2QuantileTest, ExactForFiveOrFewerSamples) {
-  P2Quantile p50(0.5);
-  EXPECT_DOUBLE_EQ(p50.Value(), 0.0);
-  for (double x : {3.0, 1.0, 2.0}) {
-    p50.Add(x);
-  }
-  EXPECT_DOUBLE_EQ(p50.Value(), ExactQuantile({3.0, 1.0, 2.0}, 0.5));
-
-  P2Quantile p95(0.95);
-  const std::vector<double> five = {5.0, 1.0, 4.0, 2.0, 3.0};
-  for (double x : five) {
-    p95.Add(x);
-  }
-  EXPECT_DOUBLE_EQ(p95.Value(), ExactQuantile(five, 0.95));
-}
-
-TEST(P2QuantileTest, AccuracyWithinBoundsOnUniformStream) {
-  Rng rng(1234);
-  P2Quantile p50(0.5);
-  P2Quantile p95(0.95);
-  std::vector<double> values;
-  values.reserve(20000);
-  for (int i = 0; i < 20000; ++i) {
-    const double x = rng.NextDouble();
-    values.push_back(x);
-    p50.Add(x);
-    p95.Add(x);
-  }
-  // The sample spans ~[0, 1]; P-square on 2*10^4 i.i.d. uniforms lands well
-  // within 1% of the range of the exact order statistic.
-  EXPECT_NEAR(p50.Value(), ExactQuantile(values, 0.50), 0.01);
-  EXPECT_NEAR(p95.Value(), ExactQuantile(values, 0.95), 0.01);
-}
-
-TEST(P2QuantileTest, AccuracyWithinBoundsOnSkewedStream) {
-  Rng rng(77);
-  P2Quantile p50(0.5);
-  P2Quantile p95(0.95);
-  std::vector<double> values;
-  values.reserve(20000);
-  for (int i = 0; i < 20000; ++i) {
-    const double x = rng.Exponential(2.0);  // heavy right tail
-    values.push_back(x);
-    p50.Add(x);
-    p95.Add(x);
-  }
-  const double exact50 = ExactQuantile(values, 0.50);
-  const double exact95 = ExactQuantile(values, 0.95);
-  // Relative bounds for the skewed case: the tail marker moves through a
-  // much wider range than the uniform test's.
-  EXPECT_NEAR(p50.Value(), exact50, 0.03 * exact50);
-  EXPECT_NEAR(p95.Value(), exact95, 0.03 * exact95);
-}
-
-TEST(P2QuantileTest, MonotoneMarkersSurviveConstantStream) {
-  P2Quantile p50(0.5);
-  for (int i = 0; i < 1000; ++i) {
-    p50.Add(42.0);
-  }
-  EXPECT_DOUBLE_EQ(p50.Value(), 42.0);
-}
 
 // --- ResultPipeline ordering and double-set detection --------------------------
 
@@ -161,16 +93,6 @@ TEST(ResultPipelineTest, EndWithMissingReplicationsThrows) {
   EXPECT_THROW(pipeline.End(), std::logic_error);
 }
 
-TEST(ResultSinkTest, DoubleStoreThrows) {
-  ResultSink sink(2);
-  ReplicationResult r;
-  r.metrics["x"] = 1.0;
-  sink.Store(0, r);
-  EXPECT_THROW(sink.Store(0, r), std::logic_error);
-  EXPECT_THROW(sink.Store(2, r), std::out_of_range);
-  sink.Store(1, r);  // the other index is still fine
-}
-
 // --- MetricRecorder flush rules ------------------------------------------------
 
 TEST(MetricRecorderTest, FlushesCountersScalarsGaugesHistograms) {
@@ -235,10 +157,11 @@ TEST(MetricRecorderTest, HistogramMisuseThrows) {
   EXPECT_THROW(recorder.DeclareHistogram("bad", 0.0, 1.0, 0), std::logic_error);
 }
 
-// --- Golden test: streamed CSV == batch CSV in exact mode ----------------------
+// --- Golden test: streamed per-replication CSV -------------------------------
 
-CampaignOptions ProbeCampaign(unsigned jobs, uint64_t reps) {
-  CampaignOptions options;
+// A campaign: the run engine's grid with no axes.
+SweepOptions ProbeCampaign(unsigned jobs, uint64_t reps) {
+  SweepOptions options;
   options.scenario = "pipeline_probe";
   options.base_seed = 99;
   options.replications = reps;
@@ -246,53 +169,29 @@ CampaignOptions ProbeCampaign(unsigned jobs, uint64_t reps) {
   return options;
 }
 
-TEST(StreamingGolden, StreamedRowsMatchBatchCsvByteForByte) {
-  // Exact mode with a streaming writer riding the pipeline: rows hit the
-  // stream as replications complete (out of order across 8 workers), yet
-  // the bytes must equal the batch writer applied to the buffered rows.
-  std::ostringstream streamed;
-  StreamingCsvWriter writer(streamed);
-  CampaignOptions options = ProbeCampaign(8, 64);
-  options.consumers.push_back(&writer);
-  const CampaignResult result = RunCampaign(options);
-  EXPECT_EQ(streamed.str(), ResultSink::ReplicationsToCsv(result.replications));
-  EXPECT_FALSE(result.streamed);
-  EXPECT_EQ(result.replication_count, 64u);
-}
+TEST(StreamingGolden, StreamedRowsMatchAcrossJobsAndTheRunsOwnRecords) {
+  // Rows hit the stream as replications complete (out of order across 8
+  // workers), yet the bytes must equal the serial run's and the export of
+  // the run's own WLSR group — the one record store.
+  std::ostringstream serial_rows;
+  StreamingCsvWriter serial_writer(serial_rows);
+  SweepOptions serial = ProbeCampaign(1, 64);
+  serial.consumers.push_back(&serial_writer);
+  RunSweepCampaign(serial);
 
-TEST(StreamingGolden, StreamModeMatchesExactModeEverywhereButQuantiles) {
-  const CampaignResult exact = RunCampaign(ProbeCampaign(1, 200));
-  CampaignOptions options = ProbeCampaign(4, 200);
-  options.stream = true;
-  const CampaignResult streamed = RunCampaign(options);
+  SweepOptions parallel = ProbeCampaign(8, 64);
+  std::ostringstream parallel_rows;
+  StreamingCsvWriter parallel_writer(parallel_rows);
+  parallel.consumers.push_back(&parallel_writer);
+  std::ostringstream bin;
+  BinaryResultsWriter bin_writer(bin);
+  parallel.point_sinks.push_back(&bin_writer);
+  const SweepResult result = RunSweepCampaign(parallel);
 
-  EXPECT_TRUE(streamed.streamed);
-  EXPECT_TRUE(streamed.replications.empty());  // nothing buffered
-  ASSERT_EQ(exact.aggregates.size(), streamed.aggregates.size());
-  for (size_t i = 0; i < exact.aggregates.size(); ++i) {
-    const MetricAggregate& e = exact.aggregates[i];
-    const MetricAggregate& s = streamed.aggregates[i];
-    EXPECT_EQ(e.metric, s.metric);
-    EXPECT_EQ(e.count, s.count);
-    // Welford summaries fold in the same (replication) order in both modes:
-    // identical doubles, not merely close.
-    EXPECT_DOUBLE_EQ(e.mean, s.mean);
-    EXPECT_DOUBLE_EQ(e.stddev, s.stddev);
-    EXPECT_DOUBLE_EQ(e.min, s.min);
-    EXPECT_DOUBLE_EQ(e.max, s.max);
-    // P-square estimates track the exact quantiles.
-    EXPECT_NEAR(e.p50, s.p50, 0.05 * (e.max - e.min + 1e-12));
-    EXPECT_NEAR(e.p95, s.p95, 0.05 * (e.max - e.min + 1e-12));
-  }
-}
-
-TEST(StreamingGolden, StreamModeDeterministicAcrossJobs) {
-  CampaignOptions serial = ProbeCampaign(1, 300);
-  serial.stream = true;
-  CampaignOptions parallel = ProbeCampaign(8, 300);
-  parallel.stream = true;
-  EXPECT_EQ(ResultSink::AggregatesToCsv(RunCampaign(serial).aggregates, true),
-            ResultSink::AggregatesToCsv(RunCampaign(parallel).aggregates, true));
+  EXPECT_EQ(parallel_rows.str(), serial_rows.str());
+  EXPECT_EQ(ExportBinaryCsv(ParseBinaryResults(bin.str())), serial_rows.str());
+  ASSERT_EQ(result.points.size(), 1u);
+  EXPECT_EQ(result.replications, 64u);
 }
 
 TEST(StreamingGolden, StreamingWriterRejectsDriftingMetricSet) {
@@ -309,13 +208,13 @@ TEST(StreamingGolden, StreamingWriterRejectsSecondCampaign) {
   // with no fresh header to the same stream — refuse, loudly.
   std::ostringstream out;
   StreamingCsvWriter writer(out);
-  CampaignOptions options = ProbeCampaign(2, 4);
+  SweepOptions options = ProbeCampaign(2, 4);
   options.consumers.push_back(&writer);
-  RunCampaign(options);
-  EXPECT_THROW(RunCampaign(options), std::logic_error);
+  RunSweepCampaign(options);
+  EXPECT_THROW(RunSweepCampaign(options), std::logic_error);
 }
 
-// --- Sweep: exact-mode shard golden + stream mode ------------------------------
+// --- Sweep: shard golden ------------------------------------------------------
 
 SweepOptions ProbeSweep(unsigned jobs, unsigned shard_index, unsigned shard_count) {
   SweepOptions options;
@@ -340,36 +239,6 @@ TEST(StreamingGolden, ShardedSweepCsvMergesByteForByte) {
   EXPECT_EQ(full, merged);
 }
 
-TEST(SweepStream, DeterministicAcrossJobsAndLabeledApproximate) {
-  SweepOptions serial = ProbeSweep(1, 0, 1);
-  serial.stream = true;
-  SweepOptions parallel = ProbeSweep(8, 0, 1);
-  parallel.stream = true;
-  const std::string csv_serial = SweepResultToCsv(RunSweepCampaign(serial));
-  const std::string csv_parallel = SweepResultToCsv(RunSweepCampaign(parallel));
-  EXPECT_EQ(csv_serial, csv_parallel);
-  EXPECT_NE(csv_serial.find("p50_approx,p95_approx\n"), std::string::npos);
-
-  // Same campaign in exact mode: identical everywhere except the quantile
-  // columns' values and labels — count that the headers really diverge.
-  const std::string csv_exact = SweepResultToCsv(RunSweepCampaign(ProbeSweep(1, 0, 1)));
-  EXPECT_NE(csv_exact.find("p50,p95\n"), std::string::npos);
-}
-
-// --- Writer header stability ---------------------------------------------------
-
-TEST(WriterHeaders, ApproxQuantileColumnsAreLabeled) {
-  EXPECT_EQ(ResultSink::AggregatesToCsv({}, false),
-            "metric,count,mean,stddev,ci95_half,min,max,p50,p95\n");
-  EXPECT_EQ(ResultSink::AggregatesToCsv({}, true),
-            "metric,count,mean,stddev,ci95_half,min,max,p50_approx,p95_approx\n");
-  EXPECT_EQ(ResultSink::SweepLongCsv({"a"}, {}, true),
-            "a,metric,count,mean,stddev,ci95_half,min,max,p50_approx,p95_approx\n");
-  const std::string json = ResultSink::AggregatesToJson("s", 1, {MetricAggregate{}}, true);
-  EXPECT_NE(json.find("\"p50_approx\""), std::string::npos);
-  EXPECT_NE(json.find("\"p95_approx\""), std::string::npos);
-}
-
 // --- dense_multi_bss per-station histogram through the recorder ----------------
 
 class DistributionSpy final : public ResultConsumer {
@@ -380,19 +249,19 @@ class DistributionSpy final : public ResultConsumer {
 
 TEST(DenseMultiBssHistogram, PerStationThroughputRecorded) {
   DistributionSpy spy;
-  CampaignOptions options;
+  SweepOptions options;
   options.scenario = "dense_multi_bss";
   options.replications = 1;
   options.jobs = 1;
-  options.params.Set("n_bss", "2");
-  options.params.Set("stas_per_bss", "3");
-  options.params.Set("sim_time_s", "0.3");
-  options.params.Set("sta_hist", "true");
+  options.base_params.Set("n_bss", "2");
+  options.base_params.Set("stas_per_bss", "3");
+  options.base_params.Set("sim_time_s", "0.3");
+  options.base_params.Set("sta_hist", "true");
   options.consumers.push_back(&spy);
-  const CampaignResult result = RunCampaign(options);
+  const SweepResult result = RunSweepCampaign(options);
 
   bool saw_p50 = false;
-  for (const MetricAggregate& a : result.aggregates) {
+  for (const MetricAggregate& a : result.points.front().aggregates) {
     if (a.metric == "per_sta_mbps_p50") {
       saw_p50 = true;
     }
@@ -409,15 +278,15 @@ TEST(DenseMultiBssHistogram, PerStationThroughputRecorded) {
 }
 
 TEST(DenseMultiBssHistogram, OffByDefaultKeepsColumnSetUnchanged) {
-  CampaignOptions options;
+  SweepOptions options;
   options.scenario = "dense_multi_bss";
   options.replications = 1;
   options.jobs = 1;
-  options.params.Set("n_bss", "1");
-  options.params.Set("stas_per_bss", "2");
-  options.params.Set("sim_time_s", "0.3");
-  const CampaignResult result = RunCampaign(options);
-  for (const MetricAggregate& a : result.aggregates) {
+  options.base_params.Set("n_bss", "1");
+  options.base_params.Set("stas_per_bss", "2");
+  options.base_params.Set("sim_time_s", "0.3");
+  const SweepResult result = RunSweepCampaign(options);
+  for (const MetricAggregate& a : result.points.front().aggregates) {
     EXPECT_EQ(a.metric.find("per_sta_mbps"), std::string::npos) << a.metric;
   }
 }

@@ -31,9 +31,7 @@
 #include "query/server.h"
 #include "results/binary_reader.h"
 #include "results/binary_writer.h"
-#include "runner/campaign.h"
 #include "runner/metric_recorder.h"
-#include "runner/result_consumer.h"
 #include "runner/result_sink.h"
 #include "runner/sweep.h"
 
@@ -54,7 +52,7 @@ std::string WriteTempFile(const std::string& name, const std::string& bytes) {
 // set itself, exercising the per-point schema union).
 std::string SweepShardBytes(unsigned shard_index, unsigned shard_count) {
   std::ostringstream bin;
-  BinarySweepWriter writer(bin);
+  BinaryResultsWriter writer(bin);
   SweepOptions options;
   options.scenario = "pipeline_probe";
   options.grid.AddAxis(ParseSweepAxis("n_metrics=1,2,3"));
@@ -71,16 +69,16 @@ std::string SweepShardBytes(unsigned shard_index, unsigned shard_count) {
 
 std::string CampaignBytes(uint64_t seed, const char* counters = "3") {
   std::ostringstream bin;
-  BinaryCampaignWriter writer(bin, /*streamed=*/false);
-  CampaignOptions options;
+  BinaryResultsWriter writer(bin);
+  SweepOptions options;  // no axes: a campaign
   options.scenario = "pipeline_probe";
   options.base_seed = seed;
   options.replications = 16;
   options.jobs = 2;
-  options.params.Set("counters", counters);
-  options.params.Set("hist", "true");
-  options.consumers.push_back(&writer);
-  RunCampaign(options);
+  options.base_params.Set("counters", counters);
+  options.base_params.Set("hist", "true");
+  options.point_sinks.push_back(&writer);
+  RunSweepCampaign(options);
   return bin.str();
 }
 
@@ -188,7 +186,7 @@ TEST(QueryCatalog, RejectsCampaignSchemaDriftDuplicatePointsAndAxisMismatch) {
 
   // A file swept over different axes cannot join the collection.
   std::ostringstream bin;
-  BinarySweepWriter writer(bin);
+  BinaryResultsWriter writer(bin);
   SweepOptions options;
   options.scenario = "pipeline_probe";
   options.grid.AddAxis(ParseSweepAxis("samples=4,16"));
@@ -269,7 +267,7 @@ TEST(QueryEngine, WhereAndGroupByMatchManualPerPointAggregation) {
 
   // WHERE n_metrics=2 with the default grouping: one row set per matching
   // grid point, ascending, each aggregated exactly like the offline path.
-  std::string expected = ResultSink::SweepLongCsvHeader(c->param_keys, /*approx=*/false);
+  std::string expected = SweepLongCsvHeader(c->param_keys);
   for (const auto& [point, ref] : c->points) {
     const BinaryGroupHeader& h = ref.group().header;
     if (h.param_values[0] != "2") {
@@ -281,7 +279,7 @@ TEST(QueryEngine, WhereAndGroupByMatchManualPerPointAggregation) {
     }
     std::vector<double> values;
     ReadScalarColumn(ref.group(), column, &values);
-    expected += ResultSink::SweepLongCsvRows(
+    expected += SweepLongCsvRows(
         h.param_values, {AggregateScalarSamples("value_0", values)});
   }
   EXPECT_EQ(
@@ -302,9 +300,9 @@ TEST(QueryEngine, WhereAndGroupByMatchManualPerPointAggregation) {
     auto& pool = buckets[h.param_values[1]];
     pool.insert(pool.end(), values.begin(), values.end());
   }
-  std::string grouped = ResultSink::SweepLongCsvHeader({"samples"}, /*approx=*/false);
+  std::string grouped = SweepLongCsvHeader({"samples"});
   for (const char* samples : {"8", "32"}) {  // first-appearance order: point 0 has samples=8
-    grouped += ResultSink::SweepLongCsvRows(
+    grouped += SweepLongCsvRows(
         {samples}, {AggregateScalarSamples("value_0", buckets.at(samples))});
   }
   EXPECT_EQ(RunQuery(fx.catalog,
@@ -448,16 +446,18 @@ TEST(ExtentCache, NanAndNegativeZeroSurviveTheCachedPathBitwise) {
                          std::numeric_limits<double>::denorm_min(),
                          -std::numeric_limits<double>::infinity(),
                          1.0e300};
-  std::ostringstream bin;
-  BinaryCampaignWriter writer(bin, /*streamed=*/false);
-  writer.BeginCampaign({"hard_values", 1, 6});
+  GroupEncoder encoder(0, 1, {}, 6);
   for (uint64_t rep = 0; rep < 6; ++rep) {
     ReplicationRecord record;
     record.replication = rep;
     record.metrics["x"] = hard[rep];
-    writer.OnRecord(record);
+    encoder.OnRecord(record);
   }
-  writer.EndCampaign();
+  std::ostringstream bin;
+  BinaryResultsWriter writer(bin);
+  writer.BeginSweep({"hard_values", 1, 6, {}, 1, 1});
+  writer.OnPointDone({}, {}, encoder.Finish());
+  writer.EndSweep();
 
   Catalog catalog;
   catalog.RegisterFile(WriteTempFile("query_hard.wlsr", bin.str()));

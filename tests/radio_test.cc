@@ -18,8 +18,9 @@
 #include "phy/propagation.h"
 #include "phy/wifi_phy.h"
 #include "runner/builders.h"
-#include "runner/campaign.h"
+#include "runner/result_consumer.h"
 #include "runner/scenario_registry.h"
+#include "runner/sweep.h"
 
 namespace wlansim {
 namespace {
@@ -288,23 +289,28 @@ TEST(RadioSeam, CoexistenceBuildersAreDeterministic) {
 // Campaign determinism across --jobs for a heterogeneous scenario: per-
 // replication results must not depend on worker parallelism.
 TEST(RadioSeam, SensorCoexistenceCampaignIdenticalAcrossJobs) {
-  CampaignOptions options;
+  SweepOptions options;  // no axes: a campaign
   options.scenario = "sensor_coexistence";
-  options.params.Set("sim_time_s", "1");
-  options.params.Set("with_jammer", "true");
+  options.base_params.Set("sim_time_s", "1");
+  options.base_params.Set("with_jammer", "true");
   options.replications = 3;
   options.base_seed = 99;
 
+  InMemoryConsumer serial;
   options.jobs = 1;
-  const CampaignResult serial = RunCampaign(options);
+  options.consumers = {&serial};
+  RunSweepCampaign(options);
+  InMemoryConsumer parallel;
   options.jobs = 0;  // auto parallelism
-  const CampaignResult parallel = RunCampaign(options);
+  options.consumers = {&parallel};
+  RunSweepCampaign(options);
 
-  ASSERT_EQ(serial.replications.size(), parallel.replications.size());
-  for (size_t i = 0; i < serial.replications.size(); ++i) {
-    for (const auto& [name, value] : serial.replications[i].metrics) {
-      const auto it = parallel.replications[i].metrics.find(name);
-      ASSERT_NE(it, parallel.replications[i].metrics.end()) << name;
+  ASSERT_EQ(serial.records().size(), 3u);
+  ASSERT_EQ(serial.records().size(), parallel.records().size());
+  for (size_t i = 0; i < serial.records().size(); ++i) {
+    for (const auto& [name, value] : serial.records()[i].metrics) {
+      const auto it = parallel.records()[i].metrics.find(name);
+      ASSERT_NE(it, parallel.records()[i].metrics.end()) << name;
       EXPECT_DOUBLE_EQ(value, it->second) << name << " rep " << i;
     }
   }

@@ -1,9 +1,10 @@
 // WLSR binary results format tests: primitive/chunk codec round-trips, the
-// schema header round-trip, writer determinism across worker counts, shard
-// merge byte-identity against the unsharded file, CSV export byte-identity
-// against the text writers (batch and streamed, campaign and sweep),
-// histogram (DistributionSnapshot) fidelity, schema-drift rejection, and
-// corrupted/truncated-file rejection.
+// schema header round-trip (and the reserved legacy header byte), writer
+// determinism across worker counts, shard merge byte-identity against the
+// unsharded file, CSV export byte-identity against the text writers
+// (campaign and sweep), a run's --csv == AggregateBinary of its own
+// --binary-out, histogram (DistributionSnapshot) fidelity, schema-drift
+// rejection, and corrupted/truncated-file rejection.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,6 @@
 #include "results/binary_format.h"
 #include "results/binary_reader.h"
 #include "results/binary_writer.h"
-#include "runner/campaign.h"
 #include "runner/metric_recorder.h"
 #include "runner/result_consumer.h"
 #include "runner/result_sink.h"
@@ -104,7 +104,6 @@ TEST(BinaryCodec, BinsRoundTripAndCompressZeroRuns) {
 TEST(BinaryHeaders, FileAndGroupHeadersRoundTrip) {
   BinaryFileHeader fh;
   fh.kind = BinaryFileKind::kSweep;
-  fh.streamed = true;
   fh.n_groups = 6;
   fh.base_seed = 99;
   fh.replications = 1000;
@@ -115,7 +114,7 @@ TEST(BinaryHeaders, FileAndGroupHeadersRoundTrip) {
   ByteReader in(bytes);
   const BinaryFileHeader fh2 = DecodeFileHeader(in);
   EXPECT_EQ(fh2.kind, fh.kind);
-  EXPECT_EQ(fh2.streamed, fh.streamed);
+  EXPECT_EQ(static_cast<uint8_t>(bytes[7]), 0u);  // the reserved byte after kind
   EXPECT_EQ(fh2.n_groups, fh.n_groups);
   EXPECT_EQ(fh2.base_seed, fh.base_seed);
   EXPECT_EQ(fh2.replications, fh.replications);
@@ -150,31 +149,18 @@ TEST(BinaryHeaders, FileAndGroupHeadersRoundTrip) {
 
 // --- end-to-end campaign/sweep fixtures ----------------------------------------
 
-CampaignOptions ProbeCampaign(unsigned jobs, uint64_t reps) {
-  CampaignOptions options;
+// The probe campaign: a zero-axis grid, i.e. exactly what wlansim_run runs
+// without --sweep.
+SweepOptions ProbeCampaign(unsigned jobs, uint64_t reps) {
+  SweepOptions options;
   options.scenario = "pipeline_probe";
   options.base_seed = 99;
   options.replications = reps;
   options.jobs = jobs;
-  options.params.Set("counters", "3");
-  options.params.Set("hist", "true");
-  options.params.Set("gauge", "true");
+  options.base_params.Set("counters", "3");
+  options.base_params.Set("hist", "true");
+  options.base_params.Set("gauge", "true");
   return options;
-}
-
-// Runs a campaign with a binary writer attached; returns the file bytes.
-std::string CampaignBinary(unsigned jobs, uint64_t reps, bool stream,
-                           CampaignResult* result_out = nullptr) {
-  std::ostringstream bin;
-  BinaryCampaignWriter writer(bin, stream);
-  CampaignOptions options = ProbeCampaign(jobs, reps);
-  options.stream = stream;
-  options.consumers.push_back(&writer);
-  CampaignResult result = RunCampaign(options);
-  if (result_out != nullptr) {
-    *result_out = std::move(result);
-  }
-  return bin.str();
 }
 
 SweepOptions ProbeSweep(unsigned jobs, unsigned shard_index, unsigned shard_count) {
@@ -190,11 +176,10 @@ SweepOptions ProbeSweep(unsigned jobs, unsigned shard_index, unsigned shard_coun
   return options;
 }
 
-std::string SweepBinary(unsigned jobs, unsigned shard_index, unsigned shard_count,
-                        SweepResult* result_out = nullptr) {
+// Runs `options` with a binary writer attached; returns the file bytes.
+std::string RunBinary(SweepOptions options, SweepResult* result_out = nullptr) {
   std::ostringstream bin;
-  BinarySweepWriter writer(bin);
-  SweepOptions options = ProbeSweep(jobs, shard_index, shard_count);
+  BinaryResultsWriter writer(bin);
   options.point_sinks.push_back(&writer);
   SweepResult result = RunSweepCampaign(options);
   if (result_out != nullptr) {
@@ -203,8 +188,28 @@ std::string SweepBinary(unsigned jobs, unsigned shard_index, unsigned shard_coun
   return bin.str();
 }
 
+std::string CampaignBinary(unsigned jobs, uint64_t reps) {
+  return RunBinary(ProbeCampaign(jobs, reps));
+}
+
+std::string SweepBinary(unsigned jobs, unsigned shard_index, unsigned shard_count,
+                        SweepResult* result_out = nullptr) {
+  return RunBinary(ProbeSweep(jobs, shard_index, shard_count), result_out);
+}
+
 TEST(BinaryWriter, CampaignBytesIdenticalAcrossWorkerCounts) {
-  EXPECT_EQ(CampaignBinary(1, 64, false), CampaignBinary(8, 64, false));
+  EXPECT_EQ(CampaignBinary(1, 64), CampaignBinary(8, 64));
+}
+
+TEST(BinaryWriter, ZeroAxisRunWritesACampaignFile) {
+  const BinaryResultsFile file = ParseBinaryResults(CampaignBinary(2, 16));
+  EXPECT_EQ(file.header.kind, BinaryFileKind::kCampaign);
+  EXPECT_TRUE(file.header.param_keys.empty());
+  ASSERT_EQ(file.groups.size(), 1u);
+  EXPECT_EQ(file.groups[0].header.point_index, 0u);
+  EXPECT_EQ(file.groups[0].header.point_seed, 99u);  // the campaign's base seed
+  EXPECT_EQ(file.groups[0].header.n_rows, 16u);
+  EXPECT_EQ(ParseBinaryResults(SweepBinary(2, 0, 1)).header.kind, BinaryFileKind::kSweep);
 }
 
 TEST(BinaryWriter, SweepBytesIdenticalAcrossWorkerCounts) {
@@ -230,16 +235,10 @@ TEST(BinaryWriter, ShardMergeIsByteIdenticalToUnshardedFile) {
 TEST(BinaryReader, CampaignExportMatchesCsvWritersByteForByte) {
   std::ostringstream streamed_csv;
   StreamingCsvWriter csv_writer(streamed_csv);
-  std::ostringstream bin;
-  BinaryCampaignWriter bin_writer(bin, /*streamed=*/false);
-  CampaignOptions options = ProbeCampaign(8, 64);
+  SweepOptions options = ProbeCampaign(8, 64);
   options.consumers.push_back(&csv_writer);
-  options.consumers.push_back(&bin_writer);
-  const CampaignResult result = RunCampaign(options);
-
-  const std::string exported = ExportBinaryCsv(ParseBinaryResults(bin.str()));
-  EXPECT_EQ(exported, streamed_csv.str());
-  EXPECT_EQ(exported, ResultSink::ReplicationsToCsv(result.replications));
+  const std::string bin = RunBinary(options);
+  EXPECT_EQ(ExportBinaryCsv(ParseBinaryResults(bin)), streamed_csv.str());
 }
 
 TEST(BinaryReader, SweepExportMatchesLongCsvByteForByte) {
@@ -248,44 +247,13 @@ TEST(BinaryReader, SweepExportMatchesLongCsvByteForByte) {
   EXPECT_EQ(ExportBinaryCsv(ParseBinaryResults(bytes)), SweepResultToCsv(result));
 }
 
-TEST(BinaryReader, StreamedSweepExportReplaysOnlineAggregationByteForByte) {
-  std::ostringstream bin;
-  BinarySweepWriter bin_writer(bin);
-  std::ostringstream streamed_csv;
-  StreamingSweepCsvWriter csv_writer(streamed_csv);
-  SweepOptions options = ProbeSweep(4, 0, 1);
-  options.stream = true;
-  options.point_sinks.push_back(&bin_writer);
-  options.point_sinks.push_back(&csv_writer);
-  RunSweepCampaign(options);
-  EXPECT_EQ(ExportBinaryCsv(ParseBinaryResults(bin.str())), streamed_csv.str());
-}
-
-TEST(BinaryReader, StreamedCampaignExportReplaysOnlineRowsByteForByte) {
-  // In stream mode nothing is buffered, yet the binary file still holds the
-  // full record stream: export reproduces the streaming CSV exactly.
-  std::ostringstream streamed_csv;
-  StreamingCsvWriter csv_writer(streamed_csv);
-  std::ostringstream bin;
-  BinaryCampaignWriter bin_writer(bin, /*streamed=*/true);
-  CampaignOptions options = ProbeCampaign(4, 128);
-  options.stream = true;
-  options.consumers.push_back(&csv_writer);
-  options.consumers.push_back(&bin_writer);
-  RunCampaign(options);
-  EXPECT_EQ(ExportBinaryCsv(ParseBinaryResults(bin.str())), streamed_csv.str());
-}
-
 TEST(BinaryReader, HistogramSnapshotsSurviveTheRoundTrip) {
   InMemoryConsumer memory;
-  std::ostringstream bin;
-  BinaryCampaignWriter bin_writer(bin, /*streamed=*/false);
-  CampaignOptions options = ProbeCampaign(4, 48);
+  SweepOptions options = ProbeCampaign(4, 48);
   options.consumers.push_back(&memory);
-  options.consumers.push_back(&bin_writer);
-  RunCampaign(options);
+  const std::string bin = RunBinary(options);
 
-  const BinaryResultsFile file = ParseBinaryResults(bin.str());
+  const BinaryResultsFile file = ParseBinaryResults(bin);
   ASSERT_EQ(file.groups.size(), 1u);
   const BinaryGroupHeader& header = file.groups[0].header;
   ASSERT_EQ(header.dist_names.size(), 1u);
@@ -308,11 +276,78 @@ TEST(BinaryReader, HistogramSnapshotsSurviveTheRoundTrip) {
   }
 }
 
-TEST(BinaryReader, AggregateMatchesExactCampaignAggregates) {
-  CampaignResult result;
-  const std::string bytes = CampaignBinary(4, 64, false, &result);
-  EXPECT_EQ(AggregateBinary({ParseBinaryResults(bytes)}),
-            ResultSink::AggregatesToCsv(result.aggregates, false));
+// A run's --csv must equal `wlansim_results aggregate` of its own
+// --binary-out: the engine folds the very group it writes, with the very
+// function the offline path uses — at a replication count where the old
+// CLI switched to approximate quantiles.
+std::string RunCsvAndBinary(SweepOptions options, std::string* bin_out) {
+  std::ostringstream csv;
+  StreamingSweepCsvWriter csv_writer(csv);
+  options.point_sinks.push_back(&csv_writer);
+  options.retain_points = false;
+  *bin_out = RunBinary(options);
+  return csv.str();
+}
+
+TEST(BinaryReader, CampaignCsvEqualsAggregateOfItsOwnBinaryAt10k) {
+  std::string bin;
+  const std::string csv = RunCsvAndBinary(ProbeCampaign(4, 10000), &bin);
+  EXPECT_EQ(csv, AggregateBinary({ParseBinaryResults(bin)}));
+  EXPECT_EQ(csv.substr(0, csv.find('\n')), "metric,count,mean,stddev,ci95_half,min,max,p50,p95");
+  EXPECT_NE(csv.find(",10000,"), std::string::npos);
+}
+
+TEST(BinaryReader, SweepCsvEqualsAggregateOfItsOwnBinary) {
+  SweepOptions options = ProbeSweep(4, 0, 1);
+  options.replications = 2000;
+  std::string bin;
+  const std::string csv = RunCsvAndBinary(options, &bin);
+  EXPECT_EQ(csv, AggregateBinary({ParseBinaryResults(bin)}));
+  EXPECT_EQ(csv, ExportBinaryCsv(ParseBinaryResults(bin)));
+}
+
+TEST(BinaryReader, LegacyStreamedHeaderByteIsIgnored) {
+  // Files written before the reserved byte was retired carry 1 there for
+  // runs that aggregated with approximate quantiles. Their records are
+  // exact, so they parse, export and aggregate exactly like a 0-byte file.
+  constexpr size_t kReservedOffset = 7;  // magic u32 | version u16 | kind u8
+  SweepResult sweep;
+  const std::string sweep_bytes = SweepBinary(2, 0, 1, &sweep);
+  const std::string campaign_bytes = CampaignBinary(2, 64);
+  ASSERT_EQ(sweep_bytes[kReservedOffset], 0);
+  ASSERT_EQ(campaign_bytes[kReservedOffset], 0);
+  std::string legacy_sweep = sweep_bytes;
+  legacy_sweep[kReservedOffset] = 1;
+  std::string legacy_campaign = campaign_bytes;
+  legacy_campaign[kReservedOffset] = 1;
+
+  const std::string exact_sweep_csv = SweepResultToCsv(sweep);
+  EXPECT_EQ(ExportBinaryCsv(ParseBinaryResults(legacy_sweep)), exact_sweep_csv);
+  EXPECT_EQ(AggregateBinary({ParseBinaryResults(legacy_sweep)}), exact_sweep_csv);
+  const std::string legacy_agg = AggregateBinary({ParseBinaryResults(legacy_campaign)});
+  EXPECT_EQ(legacy_agg, AggregateBinary({ParseBinaryResults(campaign_bytes)}));
+  EXPECT_EQ(legacy_agg.substr(0, legacy_agg.find('\n')),
+            "metric,count,mean,stddev,ci95_half,min,max,p50,p95");
+  EXPECT_EQ(ExportBinaryCsv(ParseBinaryResults(legacy_campaign)),
+            ExportBinaryCsv(ParseBinaryResults(campaign_bytes)));
+  EXPECT_EQ(InspectBinary(ParseBinaryResults(legacy_campaign)),
+            InspectBinary(ParseBinaryResults(campaign_bytes)));
+
+  // A legacy shard merges with a current one; the merged header writes 0.
+  std::vector<std::string> paths;
+  for (unsigned shard = 0; shard < 2; ++shard) {
+    std::string bytes = SweepBinary(2, shard, 2);
+    if (shard == 0) {
+      bytes[kReservedOffset] = 1;
+    }
+    paths.push_back(testing::TempDir() + "wlsr_legacy_" + std::to_string(shard) + ".bin");
+    std::ofstream out(paths.back(), std::ios::binary);
+    out << bytes;
+    ASSERT_TRUE(out.good());
+  }
+  std::ostringstream merged;
+  MergeBinaryFiles(paths, merged);
+  EXPECT_EQ(merged.str(), sweep_bytes);
 }
 
 // --- rejection paths ------------------------------------------------------------
@@ -330,7 +365,7 @@ TEST(BinaryReader, RejectsForeignAndDamagedFiles) {
       },
       std::runtime_error);
 
-  const std::string good = CampaignBinary(1, 32, false);
+  const std::string good = CampaignBinary(1, 32);
 
   // Cut off mid-group: every prefix must fail loudly, never mis-parse.
   EXPECT_THROW(
@@ -354,26 +389,26 @@ TEST(BinaryReader, RejectsForeignAndDamagedFiles) {
 }
 
 TEST(BinaryWriter, RejectsSchemaDriftLikeTheCsvWriter) {
-  GroupEncoder encoder;
+  GroupEncoder encoder(0, 1, {}, 2);
   ReplicationRecord first;
   first.replication = 0;
   first.metrics["a"] = 1.0;
-  encoder.AddRecord(first);
+  encoder.OnRecord(first);
 
   ReplicationRecord drifted;
   drifted.replication = 1;
   drifted.metrics["a"] = 2.0;
   drifted.metrics["extra"] = 3.0;
-  EXPECT_THROW(encoder.AddRecord(drifted), std::runtime_error);
+  EXPECT_THROW(encoder.OnRecord(drifted), std::runtime_error);
 }
 
 TEST(BinaryWriter, RejectsSecondCampaignLikeTheCsvWriter) {
   std::ostringstream bin;
-  BinaryCampaignWriter writer(bin, /*streamed=*/false);
-  CampaignOptions options = ProbeCampaign(2, 4);
-  options.consumers.push_back(&writer);
-  RunCampaign(options);
-  EXPECT_THROW(RunCampaign(options), std::logic_error);
+  BinaryResultsWriter writer(bin);
+  SweepOptions options = ProbeCampaign(2, 4);
+  options.point_sinks.push_back(&writer);
+  RunSweepCampaign(options);
+  EXPECT_THROW(RunSweepCampaign(options), std::logic_error);
 }
 
 // --- streamed sweep CSV (satellite: reorder-buffered long-format streaming) -----

@@ -1,17 +1,23 @@
 // Campaign engine tests: substream seeding, params parsing, registry lookup,
-// CI aggregation math, and jobs-independence of campaign results.
+// CI aggregation math, jobs-independence of campaign results, and the
+// fixed-metric-set contract.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <memory>
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "core/random.h"
-#include "runner/campaign.h"
+#include "runner/result_consumer.h"
 #include "runner/result_sink.h"
 #include "runner/scenario.h"
 #include "runner/scenario_registry.h"
+#include "runner/sweep.h"
 
 namespace wlansim {
 namespace {
@@ -95,10 +101,10 @@ TEST(Registry, DuplicateRegistrationThrows) {
 }
 
 TEST(Registry, UnknownScenarioErrorListsAvailable) {
-  CampaignOptions options;
+  SweepOptions options;
   options.scenario = "no_such_scenario";
   try {
-    RunCampaign(options);
+    RunSweepCampaign(options);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
@@ -108,15 +114,15 @@ TEST(Registry, UnknownScenarioErrorListsAvailable) {
 }
 
 TEST(Registry, UnknownParameterRejected) {
-  CampaignOptions options;
+  SweepOptions options;
   options.scenario = "saturation";
-  options.params.Set("n_stas_typo", "4");
-  EXPECT_THROW(RunCampaign(options), std::invalid_argument);
+  options.base_params.Set("n_stas_typo", "4");
+  EXPECT_THROW(RunSweepCampaign(options), std::invalid_argument);
 }
 
 // --- CI aggregation math -------------------------------------------------------
 
-TEST(ResultSinkTest, StudentTCriticalValues) {
+TEST(AggregationTest, StudentTCriticalValues) {
   EXPECT_TRUE(std::isinf(StudentT95(0)));
   EXPECT_NEAR(StudentT95(1), 12.706, 1e-9);
   EXPECT_NEAR(StudentT95(4), 2.776, 1e-9);
@@ -124,16 +130,8 @@ TEST(ResultSinkTest, StudentTCriticalValues) {
   EXPECT_NEAR(StudentT95(1000), 1.960, 1e-9);
 }
 
-TEST(ResultSinkTest, AggregateMeanStddevCi) {
-  ResultSink sink(5);
-  for (size_t i = 0; i < 5; ++i) {
-    ReplicationResult r;
-    r.metrics["x"] = static_cast<double>(i + 1);  // 1..5
-    sink.Store(i, r);
-  }
-  const auto aggregates = sink.Aggregate();
-  ASSERT_EQ(aggregates.size(), 1u);
-  const MetricAggregate& a = aggregates[0];
+TEST(AggregationTest, AggregateMeanStddevCi) {
+  const MetricAggregate a = AggregateScalarSamples("x", {1.0, 2.0, 3.0, 4.0, 5.0});
   EXPECT_EQ(a.metric, "x");
   EXPECT_EQ(a.count, 5u);
   EXPECT_DOUBLE_EQ(a.mean, 3.0);
@@ -144,7 +142,7 @@ TEST(ResultSinkTest, AggregateMeanStddevCi) {
   EXPECT_DOUBLE_EQ(a.max, 5.0);
 }
 
-TEST(ResultSinkTest, ExactQuantileMath) {
+TEST(AggregationTest, ExactQuantileMath) {
   EXPECT_DOUBLE_EQ(ExactQuantile({}, 0.5), 0.0);
   EXPECT_DOUBLE_EQ(ExactQuantile({7.0}, 0.0), 7.0);
   EXPECT_DOUBLE_EQ(ExactQuantile({7.0}, 0.5), 7.0);
@@ -160,58 +158,67 @@ TEST(ResultSinkTest, ExactQuantileMath) {
   EXPECT_DOUBLE_EQ(ExactQuantile({1.0, 2.0}, 2.0), 2.0);
 }
 
-TEST(ResultSinkTest, AggregateQuantiles) {
-  ResultSink sink(5);
-  for (size_t i = 0; i < 5; ++i) {
-    ReplicationResult r;
-    r.metrics["x"] = static_cast<double>(5 - i);  // stored unsorted: 5..1
-    sink.Store(i, r);
-  }
-  const auto aggregates = sink.Aggregate();
-  ASSERT_EQ(aggregates.size(), 1u);
-  EXPECT_DOUBLE_EQ(aggregates[0].p50, 3.0);
-  EXPECT_DOUBLE_EQ(aggregates[0].p95, 4.8);
+TEST(AggregationTest, AggregateQuantiles) {
+  const MetricAggregate a = AggregateScalarSamples("x", {5.0, 4.0, 3.0, 2.0, 1.0});  // unsorted
+  EXPECT_DOUBLE_EQ(a.p50, 3.0);
+  EXPECT_DOUBLE_EQ(a.p95, 4.8);
 }
 
-TEST(ResultSinkTest, CsvHeadersAreStable) {
+TEST(AggregationTest, FoldQuantilesAreBitIdenticalToExactQuantile) {
+  // The fold sorts each column once and reads both quantiles off that copy;
+  // ExactQuantile sorts per call. Same order statistics, same arithmetic:
+  // the bits must agree, including on ties, negatives and odd/even sizes.
+  Rng rng(17);
+  for (size_t n : {1u, 2u, 19u, 20u, 4097u}) {
+    std::vector<double> values(n);
+    for (double& v : values) {
+      v = std::floor(rng.NextDouble() * 50.0) - 25.0 + (rng.NextDouble() < 0.5 ? 0.125 : 0.0);
+    }
+    const MetricAggregate a = AggregateScalarSamples("x", values);
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.p50), std::bit_cast<uint64_t>(ExactQuantile(values, 0.50)))
+        << n;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.p95), std::bit_cast<uint64_t>(ExactQuantile(values, 0.95)))
+        << n;
+  }
+}
+
+TEST(AggregationTest, CsvHeadersAreStable) {
   // Downstream tooling keys on these exact headers; change them only
-  // together with every CSV consumer (CI artifacts, figure scripts).
-  EXPECT_EQ(ResultSink::AggregatesToCsv({}),
-            "metric,count,mean,stddev,ci95_half,min,max,p50,p95\n");
-  EXPECT_EQ(ResultSink::SweepLongCsv({"a", "b"}, {}),
+  // together with every CSV consumer (CI artifacts, figure scripts). The
+  // zero-key header is the campaign aggregate CSV.
+  EXPECT_EQ(SweepLongCsvHeader({}), "metric,count,mean,stddev,ci95_half,min,max,p50,p95\n");
+  EXPECT_EQ(SweepLongCsv({"a", "b"}, {}),
             "a,b,metric,count,mean,stddev,ci95_half,min,max,p50,p95\n");
 }
 
-TEST(ResultSinkTest, SingleReplicationHasZeroCi) {
-  ResultSink sink(1);
-  ReplicationResult r;
-  r.metrics["x"] = 4.0;
-  sink.Store(0, r);
-  const auto aggregates = sink.Aggregate();
-  ASSERT_EQ(aggregates.size(), 1u);
-  EXPECT_DOUBLE_EQ(aggregates[0].stddev, 0.0);
-  EXPECT_DOUBLE_EQ(aggregates[0].ci95_half, 0.0);
+TEST(AggregationTest, SingleReplicationHasZeroCi) {
+  const MetricAggregate a = AggregateScalarSamples("x", {4.0});
+  EXPECT_DOUBLE_EQ(a.stddev, 0.0);
+  EXPECT_DOUBLE_EQ(a.ci95_half, 0.0);
 }
 
-TEST(ResultSinkTest, CsvAndJsonShape) {
-  ResultSink sink(2);
-  for (size_t i = 0; i < 2; ++i) {
-    ReplicationResult r;
-    r.metrics["goodput"] = 1.0 + static_cast<double>(i);
-    sink.Store(i, r);
-  }
-  const auto aggregates = sink.Aggregate();
-  const std::string csv = ResultSink::AggregatesToCsv(aggregates);
+TEST(AggregationTest, CsvAndJsonShape) {
+  const std::vector<MetricAggregate> aggregates = {AggregateScalarSamples("goodput", {1.0, 2.0})};
+  const std::string csv = SweepLongCsv({}, {SweepRow{{}, aggregates}});
   EXPECT_NE(csv.find("metric,count,mean,stddev,ci95_half,min,max"), std::string::npos);
   EXPECT_NE(csv.find("goodput,2,1.5"), std::string::npos);
-  const std::string json = ResultSink::AggregatesToJson("sat", 2, aggregates);
+  const std::string json = AggregatesToJson("sat", 2, aggregates);
   EXPECT_NE(json.find("\"scenario\": \"sat\""), std::string::npos);
   EXPECT_NE(json.find("\"replications\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"goodput\""), std::string::npos);
-  const std::string reps = ResultSink::ReplicationsToCsv(sink.replications());
-  EXPECT_NE(reps.find("replication,goodput"), std::string::npos);
-  EXPECT_NE(reps.find("0,1\n"), std::string::npos);
-  EXPECT_NE(reps.find("1,2\n"), std::string::npos);
+  EXPECT_NE(json.find("\"p50\": 1.5, \"p95\": 1.95}"), std::string::npos);
+
+  std::ostringstream reps;
+  StreamingCsvWriter writer(reps);
+  writer.BeginCampaign({"sat", 1, 2});
+  for (uint64_t i = 0; i < 2; ++i) {
+    ReplicationRecord record;
+    record.replication = i;
+    record.metrics["goodput"] = 1.0 + static_cast<double>(i);
+    writer.OnRecord(record);
+  }
+  writer.EndCampaign();
+  EXPECT_EQ(reps.str(), "replication,goodput\n0,1\n1,2\n");
 }
 
 // --- Campaign ------------------------------------------------------------------
@@ -230,69 +237,6 @@ class SeedEchoScenario final : public Scenario {
   }
 };
 
-TEST(Campaign, ResultsIndependentOfJobs) {
-  SeedEchoScenario scenario;
-  CampaignOptions options;
-  options.scenario = "seed_echo";
-  options.base_seed = 99;
-  options.replications = 64;
-
-  options.jobs = 1;
-  const CampaignResult serial = Campaign(scenario).Run(options);
-  options.jobs = 8;
-  const CampaignResult parallel = Campaign(scenario).Run(options);
-
-  ASSERT_EQ(serial.replications.size(), parallel.replications.size());
-  for (size_t i = 0; i < serial.replications.size(); ++i) {
-    EXPECT_EQ(serial.replications[i].metrics, parallel.replications[i].metrics) << i;
-    // Replication i really ran as replication i, on any thread.
-    EXPECT_DOUBLE_EQ(serial.replications[i].metrics.at("replication"),
-                     static_cast<double>(i));
-  }
-  ASSERT_EQ(serial.aggregates.size(), parallel.aggregates.size());
-  for (size_t i = 0; i < serial.aggregates.size(); ++i) {
-    EXPECT_EQ(serial.aggregates[i].metric, parallel.aggregates[i].metric);
-    EXPECT_DOUBLE_EQ(serial.aggregates[i].mean, parallel.aggregates[i].mean);
-    EXPECT_DOUBLE_EQ(serial.aggregates[i].stddev, parallel.aggregates[i].stddev);
-  }
-}
-
-TEST(Campaign, RealScenarioDeterministicAcrossJobs) {
-  CampaignOptions options;
-  options.scenario = "saturation";
-  options.base_seed = 7;
-  options.replications = 4;
-  options.params.Set("sim_time_s", "0.5");
-
-  options.jobs = 1;
-  const CampaignResult serial = RunCampaign(options);
-  options.jobs = 4;
-  const CampaignResult parallel = RunCampaign(options);
-
-  ASSERT_EQ(serial.replications.size(), 4u);
-  for (size_t i = 0; i < serial.replications.size(); ++i) {
-    EXPECT_EQ(serial.replications[i].metrics, parallel.replications[i].metrics) << i;
-  }
-  // Byte-identical serialized aggregates, the CLI-level guarantee.
-  EXPECT_EQ(ResultSink::AggregatesToCsv(serial.aggregates),
-            ResultSink::AggregatesToCsv(parallel.aggregates));
-}
-
-TEST(Campaign, DifferentSeedsAcrossReplications) {
-  SeedEchoScenario scenario;
-  CampaignOptions options;
-  options.scenario = "seed_echo";
-  options.base_seed = 5;
-  options.replications = 32;
-  options.jobs = 4;
-  const CampaignResult result = Campaign(scenario).Run(options);
-  std::set<double> seen;
-  for (const ReplicationResult& r : result.replications) {
-    seen.insert(r.metrics.at("seed_mod"));
-  }
-  EXPECT_EQ(seen.size(), result.replications.size());
-}
-
 class ThrowingScenario final : public Scenario {
  public:
   std::string_view name() const override { return "throwing"; }
@@ -302,12 +246,141 @@ class ThrowingScenario final : public Scenario {
   }
 };
 
+// Reports an extra metric on odd replications only: a metric set that
+// varies across replications, which a campaign's one WLSR group (and its
+// fixed CSV header) cannot hold.
+class DriftingScenario final : public Scenario {
+ public:
+  std::string_view name() const override { return "drifting"; }
+  std::string_view description() const override { return "metric set varies"; }
+  ReplicationResult Run(const ScenarioParams&, const ReplicationContext& ctx) const override {
+    ReplicationResult r;
+    r.metrics["always"] = 1.0;
+    if (ctx.replication % 2 == 1) {
+      r.metrics["sometimes"] = 2.0;
+    }
+    return r;
+  }
+};
+
+// The engine looks scenarios up by name, so the test scenarios run through
+// the global registry exactly like the built-ins.
+void RegisterTestScenarios() {
+  static const bool registered = [] {
+    ScenarioRegistry& registry = ScenarioRegistry::Global();
+    registry.Register(std::make_unique<SeedEchoScenario>());
+    registry.Register(std::make_unique<ThrowingScenario>());
+    registry.Register(std::make_unique<DriftingScenario>());
+    return true;
+  }();
+  (void)registered;
+}
+
+// Runs a campaign (a grid with no axes) and returns its aggregates, and its
+// records in replication order.
+std::vector<MetricAggregate> RunRecorded(SweepOptions options,
+                                         std::vector<ReplicationRecord>* records) {
+  InMemoryConsumer memory;
+  options.consumers.push_back(&memory);
+  SweepResult result = RunSweepCampaign(options);
+  *records = memory.records();
+  return result.points.front().aggregates;
+}
+
+TEST(Campaign, ResultsIndependentOfJobs) {
+  RegisterTestScenarios();
+  SweepOptions options;
+  options.scenario = "seed_echo";
+  options.base_seed = 99;
+  options.replications = 64;
+
+  std::vector<ReplicationRecord> serial_records, parallel_records;
+  options.jobs = 1;
+  const std::vector<MetricAggregate> serial = RunRecorded(options, &serial_records);
+  options.jobs = 8;
+  const std::vector<MetricAggregate> parallel = RunRecorded(options, &parallel_records);
+
+  ASSERT_EQ(serial_records.size(), 64u);
+  ASSERT_EQ(serial_records.size(), parallel_records.size());
+  for (size_t i = 0; i < serial_records.size(); ++i) {
+    EXPECT_EQ(serial_records[i].metrics, parallel_records[i].metrics) << i;
+    // Replication i really ran as replication i, on any thread.
+    EXPECT_DOUBLE_EQ(serial_records[i].metrics.at("replication"), static_cast<double>(i));
+    // A campaign is the zero-axis sweep: its point seed is the base seed.
+    EXPECT_DOUBLE_EQ(serial_records[i].metrics.at("seed_mod"),
+                     static_cast<double>(SubstreamSeed(99, "seed_echo", i) % 1000003));
+  }
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].metric, parallel[i].metric);
+    EXPECT_DOUBLE_EQ(serial[i].mean, parallel[i].mean);
+    EXPECT_DOUBLE_EQ(serial[i].stddev, parallel[i].stddev);
+  }
+}
+
+TEST(Campaign, RealScenarioDeterministicAcrossJobs) {
+  SweepOptions options;
+  options.scenario = "saturation";
+  options.base_seed = 7;
+  options.replications = 4;
+  options.base_params.Set("sim_time_s", "0.5");
+
+  std::vector<ReplicationRecord> serial_records, parallel_records;
+  options.jobs = 1;
+  const std::vector<MetricAggregate> serial = RunRecorded(options, &serial_records);
+  options.jobs = 4;
+  const std::vector<MetricAggregate> parallel = RunRecorded(options, &parallel_records);
+
+  ASSERT_EQ(serial_records.size(), 4u);
+  for (size_t i = 0; i < serial_records.size(); ++i) {
+    EXPECT_EQ(serial_records[i].metrics, parallel_records[i].metrics) << i;
+  }
+  // Byte-identical serialized aggregates, the CLI-level guarantee.
+  EXPECT_EQ(SweepLongCsvRows({}, serial), SweepLongCsvRows({}, parallel));
+}
+
+TEST(Campaign, DifferentSeedsAcrossReplications) {
+  RegisterTestScenarios();
+  SweepOptions options;
+  options.scenario = "seed_echo";
+  options.base_seed = 5;
+  options.replications = 32;
+  options.jobs = 4;
+  std::vector<ReplicationRecord> records;
+  RunRecorded(options, &records);
+  std::set<double> seen;
+  for (const ReplicationRecord& r : records) {
+    seen.insert(r.metrics.at("seed_mod"));
+  }
+  EXPECT_EQ(seen.size(), records.size());
+}
+
 TEST(Campaign, ScenarioExceptionsPropagate) {
-  ThrowingScenario scenario;
-  CampaignOptions options;
+  RegisterTestScenarios();
+  SweepOptions options;
+  options.scenario = "throwing";
   options.replications = 8;
   options.jobs = 4;
-  EXPECT_THROW(Campaign(scenario).Run(options), std::runtime_error);
+  EXPECT_THROW(RunSweepCampaign(options), std::runtime_error);
+}
+
+TEST(Campaign, VaryingMetricSetFailsCleanly) {
+  // The engine stores each point as one WLSR group whose schema the first
+  // replication fixes; a drifting metric set is a clean error on the
+  // calling thread, for any worker count, not a ragged table.
+  RegisterTestScenarios();
+  for (unsigned jobs : {1u, 4u}) {
+    SweepOptions options;
+    options.scenario = "drifting";
+    options.replications = 6;
+    options.jobs = jobs;
+    try {
+      RunSweepCampaign(options);
+      FAIL() << "expected std::runtime_error at jobs=" << jobs;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("same metric set"), std::string::npos) << e.what();
+    }
+  }
 }
 
 }  // namespace

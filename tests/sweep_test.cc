@@ -1,15 +1,19 @@
 // Sweep engine tests: axis spec parsing (lists, ranges, malformed specs),
 // cartesian grid expansion and ordering, shard partition properties, RFC 4180
-// CSV escaping, and the end-to-end determinism guarantee — sweep results are
-// byte-identical for any --jobs value and any --shard=i/n recombination.
+// CSV escaping, the campaign as the zero-axis grid, and the end-to-end
+// determinism guarantee — sweep results are byte-identical for any --jobs
+// value and any --shard=i/n recombination.
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/random.h"
+#include "runner/result_consumer.h"
 #include "runner/result_sink.h"
 #include "runner/scenario_registry.h"
 #include "runner/sweep.h"
@@ -158,15 +162,16 @@ TEST(CsvEscaping, SpecialFieldsQuoted) {
 }
 
 TEST(CsvEscaping, MetricNamesEscapedInWriters) {
-  ResultSink sink(1);
-  ReplicationResult rep;
+  const std::string agg_csv =
+      SweepLongCsv({}, {SweepRow{{}, {AggregateScalarSamples("throughput, up", {1.0})}}});
+  EXPECT_NE(agg_csv.find("\"throughput, up\",1,1"), std::string::npos) << agg_csv;
+  std::ostringstream reps_csv;
+  StreamingCsvWriter writer(reps_csv);
+  ReplicationRecord rep;
   rep.metrics["throughput, up"] = 1.0;
   rep.metrics["plain"] = 2.0;
-  sink.Store(0, rep);
-  const std::string agg_csv = ResultSink::AggregatesToCsv(sink.Aggregate());
-  EXPECT_NE(agg_csv.find("\"throughput, up\",1,1"), std::string::npos) << agg_csv;
-  const std::string reps_csv = ResultSink::ReplicationsToCsv(sink.replications());
-  EXPECT_NE(reps_csv.find("\"throughput, up\""), std::string::npos) << reps_csv;
+  writer.OnRecord(rep);
+  EXPECT_NE(reps_csv.str().find("\"throughput, up\""), std::string::npos) << reps_csv.str();
 }
 
 TEST(CsvEscaping, SweepLongCsvEscapesKeysAndValues) {
@@ -176,7 +181,7 @@ TEST(CsvEscaping, SweepLongCsvEscapesKeysAndValues) {
   SweepRow row;
   row.param_values = {"va\"lue"};
   row.aggregates = {agg};
-  const std::string csv = ResultSink::SweepLongCsv({"weird,key"}, {row});
+  const std::string csv = SweepLongCsv({"weird,key"}, {row});
   EXPECT_NE(csv.find("\"weird,key\",metric,"), std::string::npos) << csv;
   EXPECT_NE(csv.find("\"va\"\"lue\",\"x,y\",1,"), std::string::npos) << csv;
 }
@@ -285,6 +290,42 @@ TEST(SweepCampaign, PointSeedEncodingInjective) {
   EXPECT_NE(SweepPointSeed(5, {{"a", "1="}, {"b", ""}}),
             SweepPointSeed(5, {{"a", "1"}, {"=b", ""}}));
   EXPECT_NE(SweepPointSeed(5, {{"ab", "c"}}), SweepPointSeed(5, {{"a", "bc"}}));
+}
+
+TEST(SweepCampaign, ZeroAxisGridIsTheCampaign) {
+  // The empty assignment keeps the base seed, so a campaign — the grid with
+  // no axes — seeds replication i with SubstreamSeed(base_seed, scenario, i).
+  EXPECT_EQ(SweepPointSeed(5, {}), 5u);
+  SweepOptions options = ProbeOptions(4, 0, 1);
+  options.grid = SweepGrid();
+  InMemoryConsumer memory;
+  options.consumers.push_back(&memory);
+  const SweepResult result = RunSweepCampaign(options);
+  ASSERT_EQ(result.points.size(), 1u);
+  EXPECT_TRUE(result.param_keys.empty());
+  EXPECT_TRUE(result.points[0].point.empty());
+  ASSERT_EQ(memory.records().size(), 4u);
+  for (uint64_t i = 0; i < 4; ++i) {
+    EXPECT_DOUBLE_EQ(memory.records()[i].metrics.at("seed_mod"),
+                     static_cast<double>(SubstreamSeed(99, "sweep_probe_test", i) % 1000003));
+  }
+  // Its long CSV is the campaign aggregate table: no parameter columns.
+  EXPECT_EQ(SweepResultToCsv(result).substr(0, 7), "metric,");
+}
+
+TEST(SweepCampaign, RecordConsumersNeedAZeroAxisGrid) {
+  // Points run concurrently, so one record consumer cannot serve several.
+  InMemoryConsumer memory;
+  SweepOptions options = ProbeOptions(2, 0, 1);
+  options.consumers.push_back(&memory);
+  EXPECT_THROW(RunSweepCampaign(options), std::invalid_argument);
+  EXPECT_TRUE(memory.records().empty());
+}
+
+TEST(SweepCampaign, ZeroReplicationsRejected) {
+  SweepOptions options = ProbeOptions(1, 0, 1);
+  options.replications = 0;
+  EXPECT_THROW(RunSweepCampaign(options), std::invalid_argument);
 }
 
 TEST(SweepCampaign, ParamAndSweepKeyConflictRejected) {

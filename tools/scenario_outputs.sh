@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Produces the canonical scenario output set used by the radio-seam
-# byte-identity differential (tools/diff_vs_ref.sh): for every scenario
-# named on stdin (or every registered scenario when stdin is a tty), one
-# short campaign (aggregate CSV + per-replication CSV) and one two-point
-# sweep CSV, with fixed seeds and shortened simulated time so the whole
-# matrix runs in well under a minute.
+# Produces the canonical scenario output set behind the golden-byte corpus
+# ctest (tests/golden_corpus.sh, manifest tests/golden/scenario_outputs.sha256):
+# for every scenario named on the command line (or every registered scenario
+# when none is), one short campaign (aggregate CSV, per-replication CSV,
+# aggregate JSON, WLSR file) and one two-point sweep (long CSV, WLSR file),
+# with fixed seeds and shortened simulated time so the whole matrix runs in
+# a few seconds.
 #
 # Usage: scenario_outputs.sh <wlansim_run binary> <output dir> [scenario...]
 #
@@ -61,13 +62,14 @@ for s in $scenarios; do
   extra=$(short_params "$s")
   # shellcheck disable=SC2086
   "$BIN" --scenario="$s" $extra --reps=2 --seed=5 --quiet \
-    --csv="$OUT/$s-campaign.csv" --reps-csv="$OUT/$s-reps.csv"
+    --csv="$OUT/$s-campaign.csv" --reps-csv="$OUT/$s-reps.csv" \
+    --json="$OUT/$s-campaign.json" --binary-out="$OUT/$s-campaign.wlsr"
   axis=$(sweep_axis "$s")
   if [ -n "$axis" ]; then
     # shellcheck disable=SC2086
     "$BIN" --scenario="$s" $extra --sweep "$axis" --reps=2 --seed=5 --jobs=0 \
-      --quiet --csv="$OUT/$s-sweep.csv"
+      --quiet --csv="$OUT/$s-sweep.csv" --binary-out="$OUT/$s-sweep.wlsr"
   fi
 done
 
-echo "scenario_outputs: wrote $(ls "$OUT" | wc -l) CSVs to $OUT"
+echo "scenario_outputs: wrote $(ls "$OUT" | wc -l) files to $OUT"
