@@ -17,11 +17,14 @@
 // With --check the bench hard-fails unless, at 10^6 rows, the warm column
 // fetch is >= 2x faster than the cold one and the fold sums agree.
 
+#include <stdlib.h>
+
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -77,6 +80,32 @@ bool WriteCampaignFile(const std::string& path, const std::string& scenario, uin
   return static_cast<bool>(out);
 }
 
+// A private scratch directory from mkdtemp, removed with its contents on
+// scope exit, so concurrent runs never write the same file.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    std::string templ = (std::filesystem::temp_directory_path() / "bench_m7_XXXXXX").string();
+    if (mkdtemp(templ.data()) != nullptr) {
+      path_ = templ;
+    }
+  }
+  ~ScratchDir() {
+    if (!path_.empty()) {
+      std::error_code ec;
+      std::filesystem::remove_all(path_, ec);
+    }
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  // Empty when the directory could not be created.
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 size_t ColumnIndex(const BinaryGroup& group, const char* name) {
   for (size_t c = 0; c < group.header.scalar_names.size(); ++c) {
     if (group.header.scalar_names[c] == name) {
@@ -89,10 +118,10 @@ size_t ColumnIndex(const BinaryGroup& group, const char* name) {
 
 // Fetches the three bench columns through the cache and folds them to one
 // sum — the arithmetic a served aggregate would run after the fetch.
-double FetchAndFold(ExtentCache& cache, const GroupRef& ref) {
+double FetchAndFold(ExtentCache& cache, const BinaryGroup& group) {
   double sum = 0.0;
   for (const char* name : kFetchColumns) {
-    const ColumnPtr values = cache.GetScalarColumn(ref, ColumnIndex(ref.group(), name));
+    const ColumnPtr values = cache.GetScalarColumn(group, ColumnIndex(group, name));
     for (double v : *values) {
       sum += v;
     }
@@ -126,11 +155,16 @@ int Run(int argc, char** argv) {
   Table table({"rows", "cold_Mrows_s", "warm_Mrows_s", "warm_speedup", "query_cold_ms",
                "query_warm_ms", "fold_match"});
 
+  const ScratchDir scratch;
+  if (scratch.path().empty()) {
+    std::perror("mkdtemp");
+    return 1;
+  }
   double speedup_at_largest = 0.0;
   bool folds_match = true;
   for (const uint64_t rows : {uint64_t{10000}, uint64_t{100000}, uint64_t{1000000}}) {
     const std::string scenario = "bench_m7_" + std::to_string(rows);
-    const std::string path = "/tmp/" + scenario + ".wlsr";
+    const std::string path = scratch.path() + "/" + scenario + ".wlsr";
     char name[64];
     std::snprintf(name, sizeof(name), "colfetch_cold_%llu",
                   static_cast<unsigned long long>(rows));
@@ -142,26 +176,26 @@ int Run(int argc, char** argv) {
     }
     Catalog catalog;
     const CatalogFile& file = catalog.RegisterFile(path);
-    const GroupRef ref{&file, 0};
+    const BinaryGroup& group = file.file.groups.front();
     ExtentCache cache(64u << 20);
     QueryEngine engine(&catalog, &cache);
 
     TimedRun cold{}, warm{};
-    harness.Bench(name, [&cache, &ref, &cold] {
+    harness.Bench(name, [&cache, &group, &cold] {
       cache.Clear();
       const auto start = std::chrono::steady_clock::now();
-      cold.fold_sum = FetchAndFold(cache, ref);
+      cold.fold_sum = FetchAndFold(cache, group);
       cold.secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-      return static_cast<uint64_t>(3 * ref.group().header.n_rows);
+      return static_cast<uint64_t>(3 * group.header.n_rows);
     });
     // The cold pass left the columns resident; every warm fetch hits.
     std::snprintf(name, sizeof(name), "colfetch_warm_%llu",
                   static_cast<unsigned long long>(rows));
-    harness.Bench(name, [&cache, &ref, &warm] {
+    harness.Bench(name, [&cache, &group, &warm] {
       const auto start = std::chrono::steady_clock::now();
-      warm.fold_sum = FetchAndFold(cache, ref);
+      warm.fold_sum = FetchAndFold(cache, group);
       warm.secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-      return static_cast<uint64_t>(3 * ref.group().header.n_rows);
+      return static_cast<uint64_t>(3 * group.header.n_rows);
     });
 
     const std::string query = "AGGREGATE " + scenario + ":campaign";

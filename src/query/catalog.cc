@@ -3,29 +3,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <set>
 #include <stdexcept>
+#include <utility>
 
 namespace wlansim {
 namespace {
 
-std::string KindName(BinaryFileKind kind) {
-  return kind == BinaryFileKind::kCampaign ? "campaign" : "sweep";
-}
-
-// The schema every member file must share. Campaign files carry it on their
-// single group; sweep shards fix it on every group, and ParseBinaryResults
-// already guarantees the groups *within* one file agree with each other the
-// way the writer framed them, so the first group speaks for the file.
-const BinaryGroupHeader& SchemaGroup(const BinaryResultsFile& file) {
-  if (file.groups.empty()) {
-    throw std::runtime_error("file has no groups");
-  }
-  return file.groups.front().header;
-}
-
-bool SameGeometry(const DistGeometry& a, const DistGeometry& b) {
-  return a.lo == b.lo && a.bin_width == b.bin_width && a.n_bins == b.n_bins;
+std::string KindName(const std::vector<std::string>& param_keys) {
+  return param_keys.empty() ? "campaign" : "sweep";
 }
 
 // Inserts `name` into a sorted unique vector.
@@ -36,42 +21,38 @@ void UnionInsert(std::vector<std::string>& sorted, const std::string& name) {
   }
 }
 
-// Folds every group of `file` into the collection's union schema.
-void MergeSchema(Collection& collection, const BinaryResultsFile& file) {
-  for (const BinaryGroup& group : file.groups) {
-    for (const std::string& name : group.header.scalar_names) {
-      UnionInsert(collection.scalar_names, name);
-    }
-    for (size_t d = 0; d < group.header.dist_names.size(); ++d) {
-      const std::string& name = group.header.dist_names[d];
-      UnionInsert(collection.dist_names, name);
-      auto [it, inserted] =
-          collection.dist_geometry.emplace(name, group.header.dist_geometries[d]);
-      if (!inserted && !SameGeometry(it->second, group.header.dist_geometries[d])) {
-        collection.dist_geometry_conflicts.insert(name);
+// Rebuilds everything a collection derives from its member files: the
+// pooled points and, from them in canonical order, the union schema and
+// the totals.
+void Derive(Collection& c, PooledPoints points) {
+  c.points = std::move(points);
+  c.scalar_names.clear();
+  c.dist_names.clear();
+  c.dist_geometry.clear();
+  c.dist_geometry_conflicts.clear();
+  c.total_groups = 0;
+  c.total_rows = 0;
+  for (const auto& [point, groups] : c.points) {
+    for (const BinaryGroup* group : groups) {
+      const BinaryGroupHeader& header = group->header;
+      for (const std::string& name : header.scalar_names) {
+        UnionInsert(c.scalar_names, name);
       }
+      for (size_t d = 0; d < header.dist_names.size(); ++d) {
+        const std::string& name = header.dist_names[d];
+        UnionInsert(c.dist_names, name);
+        auto [it, inserted] = c.dist_geometry.emplace(name, header.dist_geometries[d]);
+        if (!inserted && !SameGeometry(it->second, header.dist_geometries[d])) {
+          c.dist_geometry_conflicts.insert(name);
+        }
+      }
+      ++c.total_groups;
+      c.total_rows += header.n_rows;
     }
   }
 }
 
 }  // namespace
-
-std::vector<GroupRef> Collection::GroupsInOrder() const {
-  std::vector<GroupRef> refs;
-  if (kind == BinaryFileKind::kSweep) {
-    refs.reserve(points.size());
-    for (const auto& [index, ref] : points) {
-      (void)index;
-      refs.push_back(ref);
-    }
-  } else {
-    refs.reserve(files.size());
-    for (const CatalogFile* file : files) {
-      refs.push_back(GroupRef{file, 0});
-    }
-  }
-  return refs;
-}
 
 const CatalogFile& Catalog::RegisterFile(const std::string& path) {
   for (const auto& existing : files_) {
@@ -83,77 +64,40 @@ const CatalogFile& Catalog::RegisterFile(const std::string& path) {
   auto entry = std::make_unique<CatalogFile>();
   entry->path = path;
   entry->file = ReadBinaryResultsFile(path);  // parses + CRC-verifies, throws on damage
-  const BinaryResultsFile& file = entry->file;
-  const BinaryGroupHeader& schema = SchemaGroup(file);
-  if (file.header.kind == BinaryFileKind::kCampaign && file.groups.size() != 1) {
-    throw std::runtime_error("'" + path + "' is a campaign file with more than one group");
-  }
+  const BinaryFileHeader& header = entry->file.header;
+  const std::string name = header.scenario + ":" + KindName(header.param_keys);
 
-  const std::string name = file.header.scenario + ":" + KindName(file.header.kind);
+  // Pool the would-be member set before committing anything, so a refused
+  // file leaves no trace. Members stay sorted by path, which makes every
+  // answer registration-order independent (Welford folds are
+  // order-sensitive).
   auto existing_it = collections_.find(name);
+  std::vector<const CatalogFile*> members;
   if (existing_it != collections_.end()) {
-    const Collection& c = existing_it->second;
-    if (file.header.param_keys != c.param_keys) {
-      throw std::runtime_error("'" + path + "' sweep parameter keys differ from collection '" +
-                               name + "'");
-    }
-    // Campaign drift checks: campaign answers pool the member files into
-    // one sample set, so a file with a different schema would silently
-    // poison the pool. (Sweep points aggregate per group; their schemas
-    // may legitimately differ between grid points.)
-    if (file.header.kind == BinaryFileKind::kCampaign) {
-      if (schema.scalar_names != c.scalar_names) {
-        throw std::runtime_error("'" + path + "' scalar columns differ from collection '" +
-                                 name + "'");
-      }
-      bool dists_match = schema.dist_names == c.dist_names;
-      for (size_t d = 0; dists_match && d < schema.dist_names.size(); ++d) {
-        dists_match = SameGeometry(schema.dist_geometries[d],
-                                   c.dist_geometry.at(schema.dist_names[d]));
-      }
-      if (!dists_match) {
-        throw std::runtime_error("'" + path + "' distribution columns differ from collection '" +
-                                 name + "'");
-      }
-    }
+    members = existing_it->second.files;
   }
-  if (file.header.kind == BinaryFileKind::kSweep) {
-    std::set<uint64_t> in_file;
-    for (const BinaryGroup& group : file.groups) {
-      const uint64_t point = group.header.point_index;
-      const bool taken = existing_it != collections_.end() &&
-                         existing_it->second.points.count(point) != 0;
-      if (taken || !in_file.insert(point).second) {
-        throw std::runtime_error("'" + path + "' re-supplies grid point " +
-                                 std::to_string(point) + " of collection '" + name + "'");
-      }
-    }
+  members.push_back(entry.get());
+  std::sort(members.begin(), members.end(),
+            [](const CatalogFile* a, const CatalogFile* b) { return a->path < b->path; });
+  std::vector<const BinaryResultsFile*> member_files;
+  member_files.reserve(members.size());
+  for (const CatalogFile* member : members) {
+    member_files.push_back(&member->file);
+  }
+  PooledPoints points;
+  try {
+    points = PoolGroups(member_files);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error("'" + path + "' cannot join collection '" + name + "': " + e.what());
   }
 
-  // All checks passed: commit. Members stay sorted by path so every answer
-  // is registration-order independent (Welford folds are order-sensitive).
-  auto [it, created] = collections_.try_emplace(name);
-  Collection& collection = it->second;
-  if (created) {
-    collection.name = name;
-    collection.scenario = file.header.scenario;
-    collection.kind = file.header.kind;
-    collection.param_keys = file.header.param_keys;
-  }
-  MergeSchema(collection, file);
-  const CatalogFile* stored = entry.get();
+  Collection& collection = collections_[name];
+  collection.name = name;
+  collection.param_keys = header.param_keys;
+  collection.files = std::move(members);
+  Derive(collection, std::move(points));
   files_.push_back(std::move(entry));
-  collection.files.insert(
-      std::upper_bound(collection.files.begin(), collection.files.end(), stored,
-                       [](const CatalogFile* a, const CatalogFile* b) { return a->path < b->path; }),
-      stored);
-  for (size_t g = 0; g < file.groups.size(); ++g) {
-    if (file.header.kind == BinaryFileKind::kSweep) {
-      collection.points.emplace(file.groups[g].header.point_index, GroupRef{stored, g});
-    }
-    collection.total_rows += file.groups[g].header.n_rows;
-  }
-  return *stored;
+  return *files_.back();
 }
 
 size_t Catalog::RegisterDirectory(const std::string& path) {
@@ -193,10 +137,8 @@ const Collection* Catalog::Find(const std::string& name) const {
 std::string Catalog::Describe() const {
   std::string text = "collection,kind,files,groups,rows,scalar_columns,dist_columns\n";
   for (const auto& [name, c] : collections_) {
-    const size_t groups =
-        c.kind == BinaryFileKind::kSweep ? c.points.size() : c.files.size();
-    text += name + "," + KindName(c.kind) + "," + std::to_string(c.files.size()) + "," +
-            std::to_string(groups) + "," + std::to_string(c.total_rows) + "," +
+    text += name + "," + KindName(c.param_keys) + "," + std::to_string(c.files.size()) + "," +
+            std::to_string(c.total_groups) + "," + std::to_string(c.total_rows) + "," +
             std::to_string(c.scalar_names.size()) + "," + std::to_string(c.dist_names.size()) +
             "\n";
   }
@@ -208,7 +150,7 @@ std::string Catalog::DescribeSchema(const std::string& name) const {
   if (c == nullptr) {
     throw std::runtime_error("unknown collection '" + name + "'");
   }
-  std::string text = "collection " + c->name + " kind=" + KindName(c->kind) +
+  std::string text = "collection " + c->name + " kind=" + KindName(c->param_keys) +
                      " files=" + std::to_string(c->files.size()) +
                      " rows=" + std::to_string(c->total_rows) + "\n";
   for (const std::string& key : c->param_keys) {

@@ -1,27 +1,24 @@
 // The query server's catalog: registered WLSR result files grouped into
-// logical campaign *collections*.
+// logical *collections*.
 //
 // Registering a file parses and CRC-verifies it in full (a damaged file is
 // rejected at the door, not at query time) and files it under the
-// collection named `<scenario>:campaign` or `<scenario>:sweep`. Shards of
-// one sweep grid land in the same collection; independent campaign runs of
-// one scenario pool into one sample set, exactly as `wlansim_results
-// aggregate` pools its argument files.
+// collection named `<scenario>:campaign` (no sweep axes) or
+// `<scenario>:sweep`. A collection is one model for both: its `points` are
+// PoolGroups over its member files in path order, the very function
+// `wlansim_results aggregate` runs over its argument files. So the catalog
+// accepts exactly the file sets the offline aggregate accepts: a file that
+// changes the scenario or axes, re-supplies a group identity (base seed,
+// grid point) already registered, or pools a group whose schema differs
+// from its point's throws. Sweep *points* may legitimately differ in schema
+// from one another (a swept parameter can change the metric set), so the
+// collection carries the union schema and queries resolve columns per
+// group.
 //
-// Schema drift is detected at registration: a campaign file whose scalar
-// column set, distribution column set or bin geometries disagree with its
-// collection throws (campaign answers pool the files into one sample set,
-// so a mismatched shard would silently poison the pool), as does any file
-// whose sweep parameter keys differ, and a sweep shard that re-supplies an
-// already-registered grid point. Sweep *groups* may legitimately differ in
-// schema between grid points (a swept parameter can change the metric
-// set), so sweep collections carry the union schema and queries resolve
-// columns per group.
-//
-// Determinism: collection member files are kept sorted by path and sweep
-// groups are keyed by ascending grid point index, so every query answer is
-// independent of registration order. The catalog is immutable once serving
-// starts (registration happens during server startup); queries only read.
+// Determinism: a collection is a pure function of its member set — files
+// sorted by path, points ascending — so every query answer is independent
+// of registration order. The catalog is immutable once serving starts
+// (registration happens during server startup); queries only read.
 
 #ifndef WLANSIM_QUERY_CATALOG_H_
 #define WLANSIM_QUERY_CATALOG_H_
@@ -44,48 +41,34 @@ struct CatalogFile {
   BinaryResultsFile file;
 };
 
-// A borrowed reference to one group of one registered file.
-struct GroupRef {
-  const CatalogFile* file = nullptr;
-  size_t group_index = 0;
-
-  const BinaryGroup& group() const { return file->file.groups[group_index]; }
-};
-
 struct Collection {
   std::string name;  // "<scenario>:campaign" or "<scenario>:sweep"
-  std::string scenario;
-  BinaryFileKind kind = BinaryFileKind::kCampaign;
-  std::vector<std::string> param_keys;      // sweep axis keys; empty for campaigns
-  // Union of the member groups' schemas, sorted by name. For campaigns the
-  // union IS the shared schema (registration enforces equality); sweep
-  // points may each carry a subset.
+  std::vector<std::string> param_keys;  // sweep axis keys; empty for campaigns
+  // Union of the member groups' schemas, sorted by name. Sweep points may
+  // each carry a subset.
   std::vector<std::string> scalar_names;
   std::vector<std::string> dist_names;
-  // First-seen bin geometry per distribution name. A name that reappears
-  // with a different geometry lands in dist_geometry_conflicts: such
-  // columns can still be read per group but refuse a cross-group HIST
-  // merge (summing bins of unlike geometries would be silent nonsense).
+  // Bin geometry per distribution name, from the first group (in point
+  // order) that carries it. A name whose geometry varies between groups
+  // lands in dist_geometry_conflicts: such columns can still be read per
+  // group but refuse a cross-group HIST merge (summing bins of unlike
+  // geometries would be silent nonsense).
   std::map<std::string, DistGeometry> dist_geometry;
   std::set<std::string> dist_geometry_conflicts;
-  std::vector<const CatalogFile*> files;    // sorted by path
-  // Sweep: every grid point across the member shards, ascending point
-  // index. Campaigns leave this empty (their rows are the files' single
-  // groups, concatenated in file order).
-  std::map<uint64_t, GroupRef> points;
+  std::vector<const CatalogFile*> files;  // sorted by path
+  // PoolGroups(files): each grid point's groups in path order, ascending
+  // point index. A campaign collection is the single point 0.
+  PooledPoints points;
+  size_t total_groups = 0;
   uint64_t total_rows = 0;
-
-  // The member groups in canonical row order: ascending point index for
-  // sweeps, file (path) order for campaigns.
-  std::vector<GroupRef> GroupsInOrder() const;
 };
 
 class Catalog {
  public:
   // Registers one WLSR file: reads, parses, CRC-verifies, and files it into
   // its collection. Throws std::runtime_error on an unreadable, truncated
-  // or corrupt file, a duplicate path, or schema drift against the
-  // collection.
+  // or corrupt file, a duplicate path, or a file PoolGroups refuses to
+  // pool with the collection's members.
   const CatalogFile& RegisterFile(const std::string& path);
 
   // Registers every regular file ending in ".wlsr" directly inside `path`

@@ -129,12 +129,12 @@ std::vector<std::string> ResolveMetrics(const Collection& c,
 
 // The scalar column index of `name` in one group's own schema; throws when
 // the group does not carry the metric (sweep points may differ in schema).
-size_t ColumnIndexIn(const GroupRef& ref, const std::string& name) {
-  const std::vector<std::string>& names = ref.group().header.scalar_names;
+size_t ColumnIndexIn(const BinaryGroup& group, const std::string& name) {
+  const std::vector<std::string>& names = group.header.scalar_names;
   auto it = std::find(names.begin(), names.end(), name);
   if (it == names.end()) {
     throw std::runtime_error("metric '" + name + "' is not present at grid point " +
-                             std::to_string(ref.group().header.point_index));
+                             std::to_string(group.header.point_index));
   }
   return static_cast<size_t>(it - names.begin());
 }
@@ -211,32 +211,32 @@ std::string QueryEngine::Execute(const std::string& query) {
     double min = 0.0, max = 0.0, weighted_sum = 0.0;
     bool any = false;
     std::vector<DistributionSnapshot> rows;
-    for (const GroupRef& ref : c.GroupsInOrder()) {
-      if (filtered && !Matches(filter, ref.group().header)) {
-        continue;
-      }
-      const std::vector<std::string>& group_dists = ref.group().header.dist_names;
-      auto dist_it = std::find(group_dists.begin(), group_dists.end(), dist_name);
-      if (dist_it == group_dists.end()) {
-        throw std::runtime_error("distribution column '" + dist_name +
-                                 "' is not present at grid point " +
-                                 std::to_string(ref.group().header.point_index) +
-                                 "; add a WHERE clause to restrict the rows");
-      }
-      const size_t dist = static_cast<size_t>(dist_it - group_dists.begin());
-      ReadDistColumn(ref.group(), dist, &rows);
-      for (const DistributionSnapshot& row : rows) {
-        for (size_t b = 0; b < bins.size(); ++b) {
-          bins[b] += row.bins[b];
+    for (const auto& [point, groups] : c.points) {
+      for (const BinaryGroup* group : groups) {
+        if (filtered && !Matches(filter, group->header)) {
+          continue;
         }
-        underflow += row.underflow;
-        overflow += row.overflow;
-        total += row.total;
-        weighted_sum += row.mean * static_cast<double>(row.total);
-        if (row.total > 0) {
-          if (!any || row.min < min) min = row.min;
-          if (!any || row.max > max) max = row.max;
-          any = true;
+        const std::vector<std::string>& group_dists = group->header.dist_names;
+        auto dist_it = std::find(group_dists.begin(), group_dists.end(), dist_name);
+        if (dist_it == group_dists.end()) {
+          throw std::runtime_error("distribution column '" + dist_name +
+                                   "' is not present at grid point " + std::to_string(point) +
+                                   "; add a WHERE clause to restrict the rows");
+        }
+        ReadDistColumn(*group, static_cast<size_t>(dist_it - group_dists.begin()), &rows);
+        for (const DistributionSnapshot& row : rows) {
+          for (size_t b = 0; b < bins.size(); ++b) {
+            bins[b] += row.bins[b];
+          }
+          underflow += row.underflow;
+          overflow += row.overflow;
+          total += row.total;
+          weighted_sum += row.mean * static_cast<double>(row.total);
+          if (row.total > 0) {
+            if (!any || row.min < min) min = row.min;
+            if (!any || row.max > max) max = row.max;
+            any = true;
+          }
         }
       }
     }
@@ -314,32 +314,9 @@ std::string QueryEngine::Execute(const std::string& query) {
     }
   }
 
-  if (c.kind == BinaryFileKind::kCampaign) {
-    if (filtered || explicit_group) {
-      throw std::runtime_error("collection '" + c.name +
-                               "' is a campaign (no sweep parameters to filter or group by)");
-    }
-    // One pooled sample set: member files' columns concatenated in path
-    // order — the same fold AggregateBinary runs over the same file order.
-    // Campaign members share one schema (registration enforces it), so the
-    // union IS every member's column list.
-    const std::vector<std::string>& names = metrics.empty() ? c.scalar_names : metrics;
-    std::vector<MetricAggregate> aggregates;
-    aggregates.reserve(names.size());
-    std::vector<double> pooled;
-    for (const std::string& name : names) {
-      pooled.clear();
-      for (const GroupRef& ref : c.GroupsInOrder()) {
-        const ColumnPtr values = cache_->GetScalarColumn(ref, ColumnIndexIn(ref, name));
-        pooled.insert(pooled.end(), values->begin(), values->end());
-      }
-      aggregates.push_back(AggregateScalarSamples(name, pooled));
-    }
-    return SweepLongCsvHeader({}) + SweepLongCsvRows({}, aggregates);
-  }
-
-  // Sweep: default grouping is every sweep parameter, making the default
-  // SELECT row set identical to the offline long-format aggregate.
+  // Default grouping is every sweep axis: one bucket per grid point, and
+  // for a campaign (no axes) the single bucket of point 0 — the default
+  // SELECT row set of the offline long-format aggregate.
   if (!explicit_group) {
     group_keys = c.param_keys;
   }
@@ -349,28 +326,30 @@ std::string QueryEngine::Execute(const std::string& query) {
     key_indices.push_back(ParamIndex(c, key));
   }
 
-  // Partition the matching grid points by key tuple. Buckets keep their
-  // members in ascending grid-point order (GroupsInOrder already is) and
-  // are emitted in order of first appearance — both pure functions of the
-  // grid, never of registration order.
-  std::vector<std::pair<std::vector<std::string>, std::vector<GroupRef>>> buckets;
+  // Partition the matching groups by key tuple. Buckets keep their members
+  // in pooled order (ascending point, path order within a point) and are
+  // emitted in order of first appearance — both pure functions of the
+  // member set, never of registration order.
+  std::vector<std::pair<std::vector<std::string>, std::vector<const BinaryGroup*>>> buckets;
   std::map<std::vector<std::string>, size_t> bucket_index;
-  for (const GroupRef& ref : c.GroupsInOrder()) {
-    if (filtered && !Matches(filter, ref.group().header)) {
-      continue;
+  for (const auto& [point, groups] : c.points) {
+    for (const BinaryGroup* group : groups) {
+      if (filtered && !Matches(filter, group->header)) {
+        continue;
+      }
+      std::vector<std::string> key;
+      key.reserve(key_indices.size());
+      for (size_t k : key_indices) {
+        key.push_back(group->header.param_values[k]);
+      }
+      auto [it, created] = bucket_index.try_emplace(key, buckets.size());
+      if (created) {
+        buckets.emplace_back(std::move(key), std::vector<const BinaryGroup*>{});
+      }
+      buckets[it->second].second.push_back(group);
     }
-    std::vector<std::string> key;
-    key.reserve(key_indices.size());
-    for (size_t k : key_indices) {
-      key.push_back(ref.group().header.param_values[k]);
-    }
-    auto [it2, created] = bucket_index.try_emplace(key, buckets.size());
-    if (created) {
-      buckets.emplace_back(std::move(key), std::vector<GroupRef>{});
-    }
-    buckets[it2->second].second.push_back(ref);
   }
-  if (buckets.empty()) {
+  if (filtered && buckets.empty()) {
     throw std::runtime_error("no grid points match the WHERE clause");
   }
 
@@ -383,10 +362,10 @@ std::string QueryEngine::Execute(const std::string& query) {
     // sweep points differ in schema. Pooling across members requires them
     // to agree on it.
     const std::vector<std::string>& names =
-        metrics.empty() ? members.front().group().header.scalar_names : metrics;
+        metrics.empty() ? members.front()->header.scalar_names : metrics;
     if (metrics.empty()) {
-      for (const GroupRef& ref : members) {
-        if (ref.group().header.scalar_names != names) {
+      for (const BinaryGroup* group : members) {
+        if (group->header.scalar_names != names) {
           throw std::runtime_error(
               "grid points pooled into one GROUP BY bucket disagree on their metric set; "
               "select explicit metrics instead of *");
@@ -397,8 +376,8 @@ std::string QueryEngine::Execute(const std::string& query) {
     aggregates.reserve(names.size());
     for (const std::string& name : names) {
       pooled.clear();
-      for (const GroupRef& ref : members) {
-        const ColumnPtr values = cache_->GetScalarColumn(ref, ColumnIndexIn(ref, name));
+      for (const BinaryGroup* group : members) {
+        const ColumnPtr values = cache_->GetScalarColumn(*group, ColumnIndexIn(*group, name));
         pooled.insert(pooled.end(), values->begin(), values->end());
       }
       aggregates.push_back(AggregateScalarSamples(name, pooled));

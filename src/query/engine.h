@@ -13,13 +13,15 @@
 //       [WHERE key=value [AND key=value ...]] [GROUP BY key[,key...]]
 //   HIST <collection> <dist-column> [WHERE key=value [AND key=value ...]]
 //
-// SELECT over a sweep groups by every sweep parameter by default, so
-// `SELECT * FROM <c>` returns exactly the AGGREGATE bytes. WHERE matches
-// swept parameter values textually (the stored grid values are strings).
-// GROUP BY pools the matching grid points per distinct key tuple, member
-// rows folded in ascending grid-point order; buckets are emitted in order
-// of their first (lowest) grid point. Campaigns have no parameters, so
-// WHERE and GROUP BY on a campaign collection are errors.
+// SELECT groups by every sweep parameter by default — one bucket per grid
+// point, and a campaign's single bucket — so `SELECT * FROM <c>` returns
+// exactly the AGGREGATE bytes. WHERE matches swept parameter values
+// textually (the stored grid values are strings). GROUP BY pools the
+// matching groups per distinct key tuple, member rows folded in pooled
+// order (ascending grid point, path order within a point); buckets are
+// emitted in order of their first (lowest) grid point. Campaigns have no
+// parameters, so a WHERE or GROUP BY key on a campaign collection is an
+// unknown sweep parameter.
 
 #ifndef WLANSIM_QUERY_ENGINE_H_
 #define WLANSIM_QUERY_ENGINE_H_

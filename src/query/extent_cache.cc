@@ -2,12 +2,10 @@
 
 #include <cstdio>
 
-#include "results/binary_reader.h"
-
 namespace wlansim {
 
-ColumnPtr ExtentCache::GetScalarColumn(const GroupRef& ref, size_t column) {
-  const Key key{ref.file, ref.group_index, column};
+ColumnPtr ExtentCache::GetScalarColumn(const BinaryGroup& group, size_t column) {
+  const Key key{&group, column};
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.lookups;
@@ -23,7 +21,7 @@ ColumnPtr ExtentCache::GetScalarColumn(const GroupRef& ref, size_t column) {
   // Decode outside the lock: a miss on a large column must not serialize
   // the other workers behind it.
   auto values = std::make_shared<std::vector<double>>();
-  ReadScalarColumn(ref.group(), column, values.get());
+  ReadScalarColumn(group, column, values.get());
   ColumnPtr column_ptr = std::move(values);
   const size_t bytes = column_ptr->size() * sizeof(double);
 

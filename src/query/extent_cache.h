@@ -1,5 +1,5 @@
 // Byte-budgeted LRU cache of decoded scalar columns, keyed by
-// (file, group, column). The query engine's hot loop is "decode this
+// (group, column). The query engine's hot loop is "decode this
 // column of this group" — the same extent walk repeated per query — so
 // caching the decoded doubles turns a warm repeat of a query into pure
 // arithmetic over resident vectors, no varint or extent framing work.
@@ -21,10 +21,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
-#include "query/catalog.h"
+#include "results/binary_reader.h"
 
 namespace wlansim {
 
@@ -44,10 +44,11 @@ class ExtentCache {
   explicit ExtentCache(size_t byte_budget) : byte_budget_(byte_budget) {}
 
   // Returns the decoded scalar column `column` (index into the group's
-  // scalar_names) of `ref`'s group, from cache when resident, decoding and
-  // inserting it otherwise. Thread-safe; concurrent misses on the same key
-  // may decode twice but converge on one cached copy.
-  ColumnPtr GetScalarColumn(const GroupRef& ref, size_t column);
+  // scalar_names) of `group`, from cache when resident, decoding and
+  // inserting it otherwise. The group must outlive the cache (the catalog
+  // owns it). Thread-safe; concurrent misses on the same key may decode
+  // twice but converge on one cached copy.
+  ColumnPtr GetScalarColumn(const BinaryGroup& group, size_t column);
 
   ExtentCacheStats Stats() const;
 
@@ -62,8 +63,8 @@ class ExtentCache {
   size_t byte_budget() const { return byte_budget_; }
 
  private:
-  // (file identity, group index, column index).
-  using Key = std::tuple<const CatalogFile*, size_t, size_t>;
+  // (group identity, column index).
+  using Key = std::pair<const BinaryGroup*, size_t>;
 
   struct Entry {
     ColumnPtr value;

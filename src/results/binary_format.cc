@@ -131,6 +131,20 @@ ByteReader ByteReader::GetRange(size_t n) {
   return range;
 }
 
+uint64_t ByteReader::GetCount(size_t min_element_bytes) {
+  const uint64_t count = GetVarint();
+  RequireFits(count, min_element_bytes);
+  return count;
+}
+
+void ByteReader::RequireFits(uint64_t count, size_t min_element_bytes) const {
+  if (count > remaining() / min_element_bytes) {
+    throw std::runtime_error("truncated binary results file: a count of " +
+                             std::to_string(count) + " elements exceeds the " +
+                             std::to_string(remaining()) + " bytes left");
+  }
+}
+
 namespace {
 
 // A double is delta-encodable only when int64 round-trips its exact bit
@@ -314,7 +328,7 @@ void DecodeBins(ByteReader& in, size_t n, std::vector<uint64_t>* out) {
     const uint64_t v = in.GetVarint();
     if (v == 0) {
       const uint64_t run = in.GetVarint();
-      if (run == 0 || out->size() + run > n) {
+      if (run == 0 || run > n - out->size()) {
         throw std::runtime_error("corrupt binary results file: histogram zero-run overruns "
                                  "its bin count");
       }
@@ -328,7 +342,7 @@ void DecodeBins(ByteReader& in, size_t n, std::vector<uint64_t>* out) {
 void EncodeFileHeader(std::string& out, const BinaryFileHeader& header) {
   PutU32(out, kBinaryFileMagic);
   PutU16(out, kBinaryFormatVersion);
-  out.push_back(static_cast<char>(header.kind));
+  out.push_back(static_cast<char>(header.param_keys.empty() ? 0 : 1));  // kind
   out.push_back(0);  // reserved
   PutU64(out, header.n_groups);
   PutU64(out, header.base_seed);
@@ -352,20 +366,20 @@ BinaryFileHeader DecodeFileHeader(ByteReader& in) {
   }
   BinaryFileHeader header;
   const uint8_t kind = in.GetU8();
-  if (kind > 1) {
-    throw std::runtime_error("corrupt binary results file: unknown file kind " +
-                             std::to_string(kind));
-  }
-  header.kind = static_cast<BinaryFileKind>(kind);
   in.GetU8();  // reserved
   header.n_groups = in.GetU64();
   header.base_seed = in.GetU64();
   header.replications = in.GetU64();
   header.scenario = in.GetString();
-  const uint64_t n_keys = in.GetVarint();
+  const uint64_t n_keys = in.GetCount(1);
   header.param_keys.reserve(n_keys);
   for (uint64_t i = 0; i < n_keys; ++i) {
     header.param_keys.push_back(in.GetString());
+  }
+  if (kind != (header.param_keys.empty() ? 0 : 1)) {
+    throw std::runtime_error("corrupt binary results file: kind byte " + std::to_string(kind) +
+                             " disagrees with the file's " + std::to_string(n_keys) +
+                             " sweep axes");
   }
   return header;
 }
@@ -399,18 +413,19 @@ BinaryGroupHeader DecodeGroupHeader(ByteReader& in) {
   BinaryGroupHeader header;
   header.point_index = in.GetU64();
   header.point_seed = in.GetU64();
-  const uint64_t n_params = in.GetVarint();
+  const uint64_t n_params = in.GetCount(1);
   header.param_values.reserve(n_params);
   for (uint64_t i = 0; i < n_params; ++i) {
     header.param_values.push_back(in.GetString());
   }
   header.n_rows = in.GetU64();
-  const uint64_t n_scalars = in.GetVarint();
+  const uint64_t n_scalars = in.GetCount(1);
   header.scalar_names.reserve(n_scalars);
   for (uint64_t i = 0; i < n_scalars; ++i) {
     header.scalar_names.push_back(in.GetString());
   }
-  const uint64_t n_dists = in.GetVarint();
+  // A distribution costs a name (>= 1 byte) plus a 24-byte geometry.
+  const uint64_t n_dists = in.GetCount(1 + 24);
   header.dist_names.reserve(n_dists);
   for (uint64_t i = 0; i < n_dists; ++i) {
     header.dist_names.push_back(in.GetString());
@@ -421,9 +436,21 @@ BinaryGroupHeader DecodeGroupHeader(ByteReader& in) {
     geometry.lo = in.GetF64();
     geometry.bin_width = in.GetF64();
     geometry.n_bins = in.GetU64();
+    if (geometry.n_bins > kMaxDistBins) {
+      throw std::runtime_error("corrupt binary results file: distribution '" +
+                               header.dist_names[i] + "' declares " +
+                               std::to_string(geometry.n_bins) + " bins (the format allows " +
+                               std::to_string(kMaxDistBins) + ")");
+    }
     header.dist_geometries.push_back(geometry);
   }
   return header;
+}
+
+bool SameGeometry(const DistGeometry& a, const DistGeometry& b) {
+  return std::bit_cast<uint64_t>(a.lo) == std::bit_cast<uint64_t>(b.lo) &&
+         std::bit_cast<uint64_t>(a.bin_width) == std::bit_cast<uint64_t>(b.bin_width) &&
+         a.n_bins == b.n_bins;
 }
 
 }  // namespace wlansim

@@ -1,9 +1,9 @@
 // The wlansim binary columnar result format ("WLSR"), the at-scale
 // alternative to long-format CSV. A file is a self-describing schema header
-// plus one *group* per campaign (campaign files have exactly one group;
-// sweep files have one group per grid point, in grid order). Inside a
-// group, replication records are split into fixed-size *extents* of
-// column chunks: per metric, a typed run of fixed-width values with a
+// plus one *group* per grid point it ran, in ascending grid order; a
+// campaign is the zero-axis grid, so its file holds the single point 0.
+// Inside a group, replication records are split into fixed-size *extents*
+// of column chunks: per metric, a typed run of fixed-width values with a
 // per-chunk encoding picked by the writer (constant / zigzag-delta varint
 // for integral runs / raw little-endian 64-bit), and per histogram the full
 // DistributionSnapshot — bins and all — instead of the flattened summary
@@ -39,11 +39,10 @@ inline constexpr uint16_t kBinaryFormatVersion = 1;
 // framing overhead amortizes to well under a byte per row.
 inline constexpr uint64_t kExtentRows = 4096;
 
-// FileHeader::kind.
-enum class BinaryFileKind : uint8_t {
-  kCampaign = 0,  // one group, point_index 0, no parameter columns
-  kSweep = 1,     // one group per grid point, ascending point_index
-};
+// Largest bin count a distribution column may declare. Decoding sizes
+// every snapshot by it, so the writer refuses and the reader rejects
+// anything larger rather than trusting an 8-byte field with an allocation.
+inline constexpr uint64_t kMaxDistBins = uint64_t{1} << 20;
 
 // Per-chunk scalar encodings. The writer always picks the smallest
 // applicable encoding in this order, so the choice — and therefore the
@@ -57,7 +56,6 @@ enum class ChunkEncoding : uint8_t {
 // ---- schema structs --------------------------------------------------------
 
 struct BinaryFileHeader {
-  BinaryFileKind kind = BinaryFileKind::kCampaign;
   uint64_t n_groups = 0;
   uint64_t base_seed = 1;
   uint64_t replications = 0;  // per group
@@ -115,6 +113,13 @@ class ByteReader {
   std::string GetString();
   // Raw sub-range of `n` bytes (for nested chunk payloads).
   ByteReader GetRange(size_t n);
+  // Reads a varint element count whose elements each cost at least
+  // `min_element_bytes`; see RequireFits.
+  uint64_t GetCount(size_t min_element_bytes);
+  // Throws "truncated" unless `count` elements of at least
+  // `min_element_bytes` each fit in the bytes left, so a damaged count is
+  // rejected before anything is sized by it.
+  void RequireFits(uint64_t count, size_t min_element_bytes) const;
 
   size_t remaining() const { return size_ - pos_; }
   size_t pos() const { return pos_; }
@@ -151,12 +156,16 @@ void DecodeBins(ByteReader& in, size_t n, std::vector<uint64_t>* out);
 //   magic u32 | version u16 | kind u8 | reserved u8 | n_groups u64 |
 //   base_seed u64 | replications u64 | scenario str | n_param_keys varint |
 //   param_key str ...
-// The reserved byte is written as 0 and ignored on read (older writers
-// set it to 1 for runs that aggregated with approximate quantiles; the
-// stored records were exact either way).
+// The kind byte is derived, never chosen: 0 for a file without sweep axes
+// (a campaign), 1 for a file with axes. These two codecs are the only code
+// that touches it; readers go by the axis count. The reserved byte is
+// written as 0 and ignored on read (older writers set it to 1 for runs
+// that aggregated with approximate quantiles; the stored records were
+// exact either way).
 void EncodeFileHeader(std::string& out, const BinaryFileHeader& header);
 // Throws std::runtime_error on a bad magic ("not a wlansim binary results
-// file") or an unsupported version.
+// file"), an unsupported version, or a kind byte that disagrees with the
+// axis count.
 BinaryFileHeader DecodeFileHeader(ByteReader& in);
 
 // Group body layout (the bytes the CRC covers):
@@ -170,7 +179,13 @@ BinaryFileHeader DecodeFileHeader(ByteReader& in);
 // streaming writer can encode the header before its row count is known and
 // patch the count in place once the last row is in.
 size_t EncodeGroupHeader(std::string& out, const BinaryGroupHeader& header);
+// Throws std::runtime_error on a count the remaining bytes cannot hold or
+// a distribution with more than kMaxDistBins bins.
 BinaryGroupHeader DecodeGroupHeader(ByteReader& in);
+
+// Bitwise geometry equality: the geometry is schema, and schema equality
+// must be exact (0.0 vs -0.0 bounds would decode into another histogram).
+bool SameGeometry(const DistGeometry& a, const DistGeometry& b);
 
 }  // namespace wlansim
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
-#include <map>
+#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -52,13 +52,37 @@ void WalkExtents(const BinaryGroup& group,
   }
 }
 
-void RequireSameSchema(const BinaryFileHeader& a, const BinaryFileHeader& b,
-                       const std::string& path) {
-  if (a.kind != b.kind || a.scenario != b.scenario || a.base_seed != b.base_seed ||
-      a.replications != b.replications || a.param_keys != b.param_keys) {
-    throw std::runtime_error("'" + path +
-                             "' does not match the first input's campaign header "
-                             "(scenario/seed/replications/param keys must agree)");
+// Every extent costs at least one byte per column, so a row count the
+// group's extent bytes cannot hold is damage. The group has a column: the
+// readers calling this have checked the column index.
+void RequireRowsFit(const BinaryGroup& group) {
+  const uint64_t rows = group.header.n_rows;
+  const uint64_t extents = rows / kExtentRows + (rows % kExtentRows != 0 ? 1 : 0);
+  ByteReader(group.body.data() + group.extents_offset, group.body.size() - group.extents_offset)
+      .RequireFits(extents, group.header.scalar_names.size() + group.header.dist_names.size());
+}
+
+bool SameSchema(const BinaryGroupHeader& a, const BinaryGroupHeader& b) {
+  if (a.param_values != b.param_values || a.scalar_names != b.scalar_names ||
+      a.dist_names != b.dist_names) {
+    return false;
+  }
+  for (size_t d = 0; d < a.dist_geometries.size(); ++d) {
+    if (!SameGeometry(a.dist_geometries[d], b.dist_geometries[d])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Concatenates scalar column `column` of `groups` into `out`, in order.
+void PoolColumn(const std::vector<const BinaryGroup*>& groups, size_t column,
+                std::vector<double>* out) {
+  ReadScalarColumn(*groups.front(), column, out);
+  std::vector<double> part;
+  for (size_t g = 1; g < groups.size(); ++g) {
+    ReadScalarColumn(*groups[g], column, &part);
+    out->insert(out->end(), part.begin(), part.end());
   }
 }
 
@@ -80,6 +104,7 @@ BinaryResultsFile ParseBinaryResults(const std::string& bytes) {
   ByteReader reader(bytes);
   BinaryResultsFile file;
   file.header = DecodeFileHeader(reader);
+  reader.RequireFits(file.header.n_groups, 16);  // magic, body_len, crc per group
   file.groups.reserve(file.header.n_groups);
   for (uint64_t g = 0; g < file.header.n_groups; ++g) {
     if (reader.GetU32() != kBinaryGroupMagic) {
@@ -105,6 +130,15 @@ BinaryResultsFile ParseBinaryResults(const std::string& bytes) {
                                " parameter values for " +
                                std::to_string(file.header.param_keys.size()) + " keys");
     }
+    const uint64_t point = group.header.point_index;
+    if (!file.groups.empty() && point <= file.groups.back().header.point_index) {
+      throw std::runtime_error("corrupt binary results file: group " + std::to_string(g) +
+                               " repeats or reorders grid point " + std::to_string(point));
+    }
+    if (file.header.param_keys.empty() && point != 0) {
+      throw std::runtime_error("corrupt binary results file: a file without sweep axes holds "
+                               "grid point " + std::to_string(point) + ", not point 0");
+    }
     file.groups.push_back(std::move(group));
   }
   if (reader.remaining() != 0) {
@@ -127,6 +161,7 @@ void ReadScalarColumn(const BinaryGroup& group, size_t column, std::vector<doubl
     throw std::out_of_range("scalar column " + std::to_string(column) + " outside schema of " +
                             std::to_string(group.header.scalar_names.size()));
   }
+  RequireRowsFit(group);
   out->clear();
   out->reserve(group.header.n_rows);
   std::vector<double> extent_values;
@@ -150,6 +185,7 @@ void ReadDistColumn(const BinaryGroup& group, size_t dist,
                             " outside schema of " +
                             std::to_string(group.header.dist_names.size()));
   }
+  RequireRowsFit(group);
   const DistGeometry& geometry = group.header.dist_geometries[dist];
   out->clear();
   out->reserve(group.header.n_rows);
@@ -217,21 +253,19 @@ void VisitScalarRows(const BinaryGroup& group,
 }
 
 std::string InspectBinary(const BinaryResultsFile& file) {
-  const bool sweep = file.header.kind == BinaryFileKind::kSweep;
+  std::string axes;
+  for (const std::string& key : file.header.param_keys) {
+    axes += (axes.empty() ? "" : ", ") + key;
+  }
   std::string text = "wlansim binary results, format version " +
                      std::to_string(kBinaryFormatVersion) + "\n";
-  text += "kind: " + std::string(sweep ? "sweep" : "campaign") + "\n";
+  text += "kind: " +
+          (axes.empty() ? std::string("campaign (no sweep axes: the single grid point 0)")
+                        : "sweep (axes: " + axes + ")") +
+          "\n";
   text += "scenario: " + file.header.scenario + "\n";
   text += "base_seed: " + std::to_string(file.header.base_seed) + "\n";
-  text += "replications: " + std::to_string(file.header.replications) +
-          (sweep ? " per grid point" : "") + "\n";
-  if (sweep) {
-    std::string keys;
-    for (const std::string& key : file.header.param_keys) {
-      keys += (keys.empty() ? "" : ", ") + key;
-    }
-    text += "param keys: " + (keys.empty() ? "(none)" : keys) + "\n";
-  }
+  text += "replications: " + std::to_string(file.header.replications) + " per grid point\n";
   text += "groups: " + std::to_string(file.groups.size()) + "\n";
   if (!file.groups.empty()) {
     const BinaryGroupHeader& schema = file.groups.front().header;
@@ -265,41 +299,66 @@ std::string InspectBinary(const BinaryResultsFile& file) {
   return text;
 }
 
+PooledPoints PoolGroups(const std::vector<const BinaryResultsFile*>& files) {
+  PooledPoints points;
+  std::set<std::pair<uint64_t, uint64_t>> identities;  // (base_seed, point_index)
+  for (size_t f = 0; f < files.size(); ++f) {
+    const BinaryFileHeader& header = files[f]->header;
+    if (header.scenario != files.front()->header.scenario ||
+        header.param_keys != files.front()->header.param_keys) {
+      throw std::runtime_error("input " + std::to_string(f + 1) +
+                               " does not share the first input's scenario and sweep axes");
+    }
+    for (const BinaryGroup& group : files[f]->groups) {
+      const uint64_t point = group.header.point_index;
+      if (!identities.emplace(header.base_seed, point).second) {
+        throw std::runtime_error("grid point " + std::to_string(point) + " of base seed " +
+                                 std::to_string(header.base_seed) +
+                                 " appears twice across the inputs (the same run supplied "
+                                 "twice would count its replications twice)");
+      }
+      std::vector<const BinaryGroup*>& pooled = points[point];
+      if (!pooled.empty() && !SameSchema(pooled.front()->header, group.header)) {
+        throw std::runtime_error("the groups at grid point " + std::to_string(point) +
+                                 " disagree on their parameter values, metric columns or "
+                                 "histogram geometries, so they cannot pool");
+      }
+      pooled.push_back(&group);
+    }
+  }
+  return points;
+}
+
 void MergeBinaryFiles(const std::vector<std::string>& input_paths, std::ostream& out) {
   if (input_paths.empty()) {
     throw std::runtime_error("merge needs at least one input file");
   }
   std::vector<BinaryResultsFile> files;
+  std::vector<const BinaryResultsFile*> borrowed;
   files.reserve(input_paths.size());
   for (const std::string& path : input_paths) {
     files.push_back(ReadBinaryResultsFile(path));
-    if (files.back().header.kind != BinaryFileKind::kSweep) {
+    const BinaryFileHeader& first = files.front().header;
+    if (files.back().header.base_seed != first.base_seed ||
+        files.back().header.replications != first.replications) {
       throw std::runtime_error("'" + path +
-                               "' is a campaign file; merge joins sweep shards "
-                               "(a campaign already has its single group)");
+                               "' is not a shard of the first input's run "
+                               "(base seed and replications must agree)");
     }
-    RequireSameSchema(files.front().header, files.back().header, path);
+    borrowed.push_back(&files.back());
   }
-  // Shard merge is pure reordering: groups are byte-copied in ascending
-  // grid-point order under a header whose group count is the sum, which is
-  // exactly what an unsharded run would have written.
-  std::map<uint64_t, const BinaryGroup*> by_point;
-  for (const BinaryResultsFile& file : files) {
-    for (const BinaryGroup& group : file.groups) {
-      if (!by_point.emplace(group.header.point_index, &group).second) {
-        throw std::runtime_error("duplicate grid point " +
-                                 std::to_string(group.header.point_index) +
-                                 " across the input shards");
-      }
-    }
-  }
+  // Shards of one run share its base seed, so the identity rule leaves one
+  // group per point: the merge is pure reordering into ascending grid
+  // order under a header whose group count is the sum, which is exactly
+  // what an unsharded run would have written.
+  const PooledPoints points = PoolGroups(borrowed);
   BinaryFileHeader header = files.front().header;
-  header.n_groups = by_point.size();
+  header.n_groups = points.size();
   std::string bytes;
   EncodeFileHeader(bytes, header);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  for (const auto& [point_index, group] : by_point) {
-    WriteFramedGroup(out, group->body);
+  for (const auto& [point_index, groups] : points) {
+    WriteFramedGroup(out, groups.front()->body);
   }
   out.flush();
   if (!out) {
@@ -308,37 +367,29 @@ void MergeBinaryFiles(const std::vector<std::string>& input_paths, std::ostream&
 }
 
 std::string ExportBinaryCsv(const BinaryResultsFile& file) {
-  if (file.header.kind == BinaryFileKind::kCampaign) {
-    if (file.groups.size() != 1) {
-      throw std::runtime_error("corrupt binary results file: campaign file with " +
-                               std::to_string(file.groups.size()) + " groups");
-    }
-    const BinaryGroup& group = file.groups.front();
-    // Matches StreamingCsvWriter bytes: no rows, no output (the writer's
-    // header goes out with the first record).
-    if (group.header.n_rows == 0) {
-      return "";
-    }
-    std::string csv = "replication";
-    for (const std::string& name : group.header.scalar_names) {
+  if (!file.header.param_keys.empty()) {
+    return AggregateBinary(std::vector<const BinaryResultsFile*>{&file});
+  }
+  // Matches StreamingCsvWriter bytes: no rows, no output (the writer's
+  // header goes out with the first record).
+  if (file.groups.empty() || file.groups.front().header.n_rows == 0) {
+    return "";
+  }
+  const BinaryGroup& group = file.groups.front();
+  std::string csv = "replication";
+  for (const std::string& name : group.header.scalar_names) {
+    csv += ",";
+    csv += CsvField(name);
+  }
+  csv += "\n";
+  VisitScalarRows(group, [&](uint64_t row, const std::vector<double>& values) {
+    csv += std::to_string(row);
+    for (double v : values) {
       csv += ",";
-      csv += CsvField(name);
+      csv += CsvNum(v);
     }
     csv += "\n";
-    VisitScalarRows(group, [&](uint64_t row, const std::vector<double>& values) {
-      csv += std::to_string(row);
-      for (double v : values) {
-        csv += ",";
-        csv += CsvNum(v);
-      }
-      csv += "\n";
-    });
-    return csv;
-  }
-  std::string csv = SweepLongCsvHeader(file.header.param_keys);
-  for (const BinaryGroup& group : file.groups) {
-    csv += SweepLongCsvRows(group.header.param_values, AggregateGroup(group));
-  }
+  });
   return csv;
 }
 
@@ -355,49 +406,18 @@ std::string AggregateBinary(const std::vector<const BinaryResultsFile*>& files) 
   if (files.empty()) {
     throw std::runtime_error("aggregate needs at least one input file");
   }
-  const BinaryFileHeader& reference = files.front()->header;
-  for (const BinaryResultsFile* file : files) {
-    if (file->header.kind != reference.kind || file->header.scenario != reference.scenario ||
-        file->header.param_keys != reference.param_keys) {
-      throw std::runtime_error(
-          "aggregate inputs must share kind, scenario, and sweep parameter keys");
-    }
-  }
-  if (reference.kind == BinaryFileKind::kCampaign) {
-    // One sample set: the files' columns concatenated in argument order.
-    const std::vector<std::string>& names = files.front()->groups.front().header.scalar_names;
-    for (const BinaryResultsFile* file : files) {
-      if (file->groups.size() != 1 || file->groups.front().header.scalar_names != names) {
-        throw std::runtime_error("aggregate inputs must share their scalar column schema");
-      }
-    }
+  const PooledPoints points = PoolGroups(files);
+  std::string csv = SweepLongCsvHeader(files.front()->header.param_keys);
+  std::vector<double> column;
+  for (const auto& [point_index, groups] : points) {
+    const BinaryGroupHeader& schema = groups.front()->header;
     std::vector<MetricAggregate> aggregates;
-    aggregates.reserve(names.size());
-    std::vector<double> column, file_column;
-    for (size_t c = 0; c < names.size(); ++c) {
-      column.clear();
-      for (const BinaryResultsFile* file : files) {
-        ReadScalarColumn(file->groups.front(), c, &file_column);
-        column.insert(column.end(), file_column.begin(), file_column.end());
-      }
-      aggregates.push_back(AggregateScalarSamples(names[c], std::move(column)));
+    aggregates.reserve(schema.scalar_names.size());
+    for (size_t c = 0; c < schema.scalar_names.size(); ++c) {
+      PoolColumn(groups, c, &column);
+      aggregates.push_back(AggregateScalarSamples(schema.scalar_names[c], std::move(column)));
     }
-    return SweepLongCsvHeader({}) + SweepLongCsvRows({}, aggregates);
-  }
-  // Sweep: one block of rows per grid point, ascending, shards disjoint.
-  std::map<uint64_t, const BinaryGroup*> by_point;
-  for (const BinaryResultsFile* file : files) {
-    for (const BinaryGroup& group : file->groups) {
-      if (!by_point.emplace(group.header.point_index, &group).second) {
-        throw std::runtime_error("duplicate grid point " +
-                                 std::to_string(group.header.point_index) +
-                                 " across the inputs");
-      }
-    }
-  }
-  std::string csv = SweepLongCsvHeader(reference.param_keys);
-  for (const auto& [point_index, group] : by_point) {
-    csv += SweepLongCsvRows(group->header.param_values, AggregateGroup(*group));
+    csv += SweepLongCsvRows(schema.param_values, aggregates);
   }
   return csv;
 }

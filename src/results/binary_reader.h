@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -34,12 +35,15 @@ struct BinaryGroup {
 
 struct BinaryResultsFile {
   BinaryFileHeader header;
-  std::vector<BinaryGroup> groups;  // file order (ascending point_index)
+  std::vector<BinaryGroup> groups;  // file order (strictly ascending point_index)
 };
 
-// Parses a whole serialized file, verifying the magic, version, per-group
-// framing and CRCs. Throws std::runtime_error with a "truncated ..." /
-// "corrupt ..." / "not a wlansim binary results file" message on damage.
+// Parses a whole serialized file, verifying the magic, version, kind byte,
+// per-group framing and CRCs, that group point indices strictly ascend, and
+// that a file without sweep axes holds at most the group of point 0. Every
+// count is checked against the bytes left before anything is sized by it.
+// Throws std::runtime_error with a "truncated ..." / "corrupt ..." / "not a
+// wlansim binary results file" message on damage.
 BinaryResultsFile ParseBinaryResults(const std::string& bytes);
 
 // Reads `path` fully and parses it. Throws std::runtime_error when the file
@@ -47,7 +51,9 @@ BinaryResultsFile ParseBinaryResults(const std::string& bytes);
 BinaryResultsFile ReadBinaryResultsFile(const std::string& path);
 
 // Decodes scalar column `column` (index into header.scalar_names) of one
-// group: header.n_rows values in replication order.
+// group: header.n_rows values in replication order. Both column readers
+// throw std::runtime_error when the group's extent bytes cannot hold
+// header.n_rows rows, before sizing anything by it.
 void ReadScalarColumn(const BinaryGroup& group, size_t column, std::vector<double>* out);
 
 // Decodes distribution column `dist` (index into header.dist_names) of one
@@ -60,19 +66,35 @@ void ReadDistColumn(const BinaryGroup& group, size_t dist, std::vector<Distribut
 void VisitScalarRows(const BinaryGroup& group,
                      const std::function<void(uint64_t, const std::vector<double>&)>& visit);
 
-// Human-readable schema + group summary (the `inspect` subcommand).
+// Human-readable schema + group summary (the `inspect` subcommand). The
+// kind it prints is derived from the axis count.
 std::string InspectBinary(const BinaryResultsFile& file);
 
-// Merges sweep shard files into one file on `out`, groups ordered by
-// ascending grid point index. Inputs must agree on every header field
-// except the group count; duplicate point indices and campaign-kind files
-// are rejected. When the shards cover the whole grid, the merged bytes are
+// The one collection model behind every multi-file reader (aggregate,
+// merge, and the query catalog): a collection maps each grid point to its
+// groups, and a point's sample set is its groups pooled in input order. A
+// campaign is the zero-axis case, the single point 0.
+using PooledPoints = std::map<uint64_t, std::vector<const BinaryGroup*>>;
+
+// Pools `files` (none may be null) in the given order. Throws
+// std::runtime_error unless
+//   - every input shares the first one's scenario and sweep axis keys;
+//   - no group identity (file base_seed, point_index) appears twice, so
+//     the same run supplied twice is rejected instead of counted twice;
+//   - the groups pooled at one point share their parameter values, scalar
+//     names, distribution names and bin geometries.
+PooledPoints PoolGroups(const std::vector<const BinaryResultsFile*>& files);
+
+// Merges the shard files of one run (same base seed and replications) into
+// one file on `out`: PoolGroups' points in ascending order, each group
+// byte-copied. When the shards cover the whole grid, the merged bytes are
 // identical to the file an unsharded run writes.
 void MergeBinaryFiles(const std::vector<std::string>& input_paths, std::ostream& out);
 
 // Exports back to the text formats, byte-identical to what the run itself
-// wrote: a campaign file reproduces the per-replication CSV (--reps-csv), a
-// sweep file reproduces the long-format CSV (--csv).
+// wrote: a file without sweep axes reproduces the per-replication CSV
+// (--reps-csv); a file with axes reproduces the long-format CSV (--csv),
+// which is AggregateBinary of the file.
 std::string ExportBinaryCsv(const BinaryResultsFile& file);
 
 // Exact per-metric aggregates of one group, one column at a time: the fold
@@ -80,11 +102,10 @@ std::string ExportBinaryCsv(const BinaryResultsFile& file);
 // and the offline tools print the same bytes.
 std::vector<MetricAggregate> AggregateGroup(const BinaryGroup& group);
 
-// Aggregates across files without materializing rows: per metric (and per
-// grid point for sweeps), AggregateScalarSamples over the concatenated
-// columns, in file order. Output is the run's own --csv format: the
-// zero-key long CSV for campaigns, the long-format CSV for sweeps. Files
-// must share scenario, kind, and schema-bearing header fields.
+// Aggregates across files without materializing rows: per grid point of
+// PoolGroups(files) and per metric, AggregateScalarSamples over the
+// point's pooled column. Output is the run's own --csv format, the
+// long-format CSV keyed by the sweep axes (none for a campaign).
 std::string AggregateBinary(const std::vector<BinaryResultsFile>& files);
 
 // The same operation over borrowed files (none may be null). This is the

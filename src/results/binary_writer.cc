@@ -1,7 +1,6 @@
 #include "results/binary_writer.h"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -10,13 +9,8 @@
 namespace wlansim {
 namespace {
 
-bool SameGeometry(const DistGeometry& geometry, const DistributionSnapshot& snapshot) {
-  // Bitwise comparison: the geometry is schema, and schema equality must be
-  // exact (0.0 vs -0.0 bounds would decode into a different histogram).
-  return std::bit_cast<uint64_t>(geometry.lo) == std::bit_cast<uint64_t>(snapshot.lo) &&
-         std::bit_cast<uint64_t>(geometry.bin_width) ==
-             std::bit_cast<uint64_t>(snapshot.bin_width) &&
-         geometry.n_bins == snapshot.bins.size();
+DistGeometry GeometryOf(const DistributionSnapshot& snapshot) {
+  return {snapshot.lo, snapshot.bin_width, snapshot.bins.size()};
 }
 
 }  // namespace
@@ -47,12 +41,14 @@ void GroupEncoder::FixSchema(const ReplicationRecord& record) {
   }
   header_.dist_names.reserve(record.distributions.size());
   for (const auto& [name, snapshot] : record.distributions) {
+    if (snapshot.bins.size() > kMaxDistBins) {
+      throw std::runtime_error("distribution '" + name + "' has " +
+                               std::to_string(snapshot.bins.size()) +
+                               " bins; the binary results format stores at most " +
+                               std::to_string(kMaxDistBins));
+    }
     header_.dist_names.push_back(name);
-    DistGeometry geometry;
-    geometry.lo = snapshot.lo;
-    geometry.bin_width = snapshot.bin_width;
-    geometry.n_bins = snapshot.bins.size();
-    header_.dist_geometries.push_back(geometry);
+    header_.dist_geometries.push_back(GeometryOf(snapshot));
   }
   scalar_cols_.resize(header_.scalar_names.size());
   for (std::vector<double>& col : scalar_cols_) {
@@ -97,7 +93,7 @@ void GroupEncoder::CheckSchema(const ReplicationRecord& record) const {
                                " reports distribution '" + name +
                                "' where the group schema has '" + dist_names[i] + "'");
     }
-    if (!SameGeometry(header_.dist_geometries[i], snapshot)) {
+    if (!SameGeometry(header_.dist_geometries[i], GeometryOf(snapshot))) {
       throw std::runtime_error("replication " + std::to_string(record.replication) +
                                " changed the bin geometry of distribution '" + name +
                                "'; the group schema fixed it at the first record");
@@ -195,7 +191,6 @@ void BinaryResultsWriter::BeginSweep(const SweepManifest& manifest) {
   }
   begun_ = true;
   BinaryFileHeader header;
-  header.kind = manifest.param_keys.empty() ? BinaryFileKind::kCampaign : BinaryFileKind::kSweep;
   header.n_groups = manifest.shard_points;
   header.base_seed = manifest.base_seed;
   header.replications = manifest.replications;

@@ -12,7 +12,7 @@
 // group per grid point, emitted in grid order by the engine's ordered point
 // delivery, so the bytes are identical for any --jobs value — and sweep
 // shards concatenate into exactly the unsharded file. A zero-axis run (a
-// campaign) writes a campaign-kind file.
+// campaign) writes a file with no axes and the single group of point 0.
 
 #ifndef WLANSIM_RESULTS_BINARY_WRITER_H_
 #define WLANSIM_RESULTS_BINARY_WRITER_H_
@@ -86,8 +86,7 @@ class GroupEncoder final : public ResultConsumer {
 
 // Writes a WLSR file: the header up front (the group count — this shard's
 // point count — is known before any point runs), then each finished group
-// as the engine delivers it in grid order. The file kind follows the axis
-// count: no axes is a campaign file, any axis a sweep file.
+// as the engine delivers it in grid order.
 class BinaryResultsWriter final : public SweepPointSink {
  public:
   explicit BinaryResultsWriter(std::ostream& out) : out_(out) {}

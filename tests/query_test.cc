@@ -50,14 +50,14 @@ std::string WriteTempFile(const std::string& name, const std::string& bytes) {
 
 // One shard of the pipeline_probe sweep grid (n_metrics sweeps the metric
 // set itself, exercising the per-point schema union).
-std::string SweepShardBytes(unsigned shard_index, unsigned shard_count) {
+std::string SweepShardBytes(unsigned shard_index, unsigned shard_count, uint64_t seed = 5) {
   std::ostringstream bin;
   BinaryResultsWriter writer(bin);
   SweepOptions options;
   options.scenario = "pipeline_probe";
   options.grid.AddAxis(ParseSweepAxis("n_metrics=1,2,3"));
   options.grid.AddAxis(ParseSweepAxis("samples=8,32"));
-  options.base_seed = 5;
+  options.base_seed = seed;
   options.replications = 6;
   options.jobs = 2;
   options.shard_index = shard_index;
@@ -118,9 +118,9 @@ TEST(QueryCatalog, ShardsPoolIntoOneCollectionWithUnionSchema) {
             std::vector<std::string>{"pipeline_probe:sweep"});
   const Collection* c = fx.catalog.Find("pipeline_probe:sweep");
   ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->kind, BinaryFileKind::kSweep);
   EXPECT_EQ(c->param_keys, (std::vector<std::string>{"n_metrics", "samples"}));
   EXPECT_EQ(c->points.size(), 6u);      // full 3x2 grid across the two shards
+  EXPECT_EQ(c->total_groups, 6u);       // one group per point: the shards are disjoint
   EXPECT_EQ(c->total_rows, 36u);        // 6 points x 6 replications
   // n_metrics=3 points carry value_2; n_metrics=1 points do not — the
   // collection schema is the union.
@@ -199,6 +199,50 @@ TEST(QueryCatalog, RejectsCampaignSchemaDriftDuplicatePointsAndAxisMismatch) {
   EXPECT_THROW(sweep_catalog.RegisterFile(other_axes), std::runtime_error);
 }
 
+TEST(QueryCatalog, SameCampaignUnderTwoPathsIsRejectedLikeTheOfflineAggregate) {
+  // The same run (same seed) supplied twice would count every replication
+  // twice; the catalog and `wlansim_results aggregate` both refuse it.
+  const std::string bytes = CampaignBytes(7);
+  const std::string path_a = WriteTempFile("query_twice_a.wlsr", bytes);
+  const std::string path_b = WriteTempFile("query_twice_b.wlsr", bytes);
+  Catalog catalog;
+  catalog.RegisterFile(path_a);
+  EXPECT_THROW(catalog.RegisterFile(path_b), std::runtime_error);
+  EXPECT_EQ(catalog.file_count(), 1u);
+  EXPECT_EQ(catalog.Find("pipeline_probe:campaign")->total_rows, 16u);
+
+  const BinaryResultsFile fa = ReadBinaryResultsFile(path_a);
+  const BinaryResultsFile fb = ReadBinaryResultsFile(path_b);
+  EXPECT_THROW(AggregateBinary(std::vector<const BinaryResultsFile*>{&fa, &fb}),
+               std::runtime_error);
+}
+
+TEST(QueryCatalog, SweepsRunWithTwoSeedsPoolPerPoint) {
+  const std::string path_a = WriteTempFile("query_seeds_a.wlsr", SweepShardBytes(0, 1, 5));
+  const std::string path_b = WriteTempFile("query_seeds_b.wlsr", SweepShardBytes(0, 1, 6));
+  Catalog catalog;
+  catalog.RegisterFile(path_b);
+  catalog.RegisterFile(path_a);
+  const Collection* c = catalog.Find("pipeline_probe:sweep");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->points.size(), 6u);
+  EXPECT_EQ(c->total_groups, 12u);
+  EXPECT_EQ(c->total_rows, 72u);
+  for (const auto& [point, groups] : c->points) {
+    ASSERT_EQ(groups.size(), 2u);  // path order: seed 5's group, then seed 6's
+    EXPECT_EQ(groups[0], &c->files[0]->file.groups[point]);
+    EXPECT_EQ(groups[1], &c->files[1]->file.groups[point]);
+  }
+
+  // Served == offline, and each point's row aggregates both runs' 6 reps.
+  const BinaryResultsFile fa = ReadBinaryResultsFile(path_a);
+  const BinaryResultsFile fb = ReadBinaryResultsFile(path_b);
+  const std::string offline = AggregateBinary(std::vector<const BinaryResultsFile*>{&fa, &fb});
+  EXPECT_EQ(RunQuery(catalog, "AGGREGATE pipeline_probe:sweep"), offline);
+  EXPECT_NE(offline.find("\n1,8,value_0,12,"), std::string::npos) << offline;
+  EXPECT_EQ(offline.find(",6,"), std::string::npos) << offline;
+}
+
 TEST(QueryCatalog, RegisterDirectoryPicksUpWlsrFilesSorted) {
   const std::string dir = testing::TempDir() + "query_dir";
   std::filesystem::create_directory(dir);
@@ -268,8 +312,9 @@ TEST(QueryEngine, WhereAndGroupByMatchManualPerPointAggregation) {
   // WHERE n_metrics=2 with the default grouping: one row set per matching
   // grid point, ascending, each aggregated exactly like the offline path.
   std::string expected = SweepLongCsvHeader(c->param_keys);
-  for (const auto& [point, ref] : c->points) {
-    const BinaryGroupHeader& h = ref.group().header;
+  for (const auto& [point, groups] : c->points) {
+    ASSERT_EQ(groups.size(), 1u);
+    const BinaryGroupHeader& h = groups.front()->header;
     if (h.param_values[0] != "2") {
       continue;
     }
@@ -278,7 +323,7 @@ TEST(QueryEngine, WhereAndGroupByMatchManualPerPointAggregation) {
       ++column;
     }
     std::vector<double> values;
-    ReadScalarColumn(ref.group(), column, &values);
+    ReadScalarColumn(*groups.front(), column, &values);
     expected += SweepLongCsvRows(
         h.param_values, {AggregateScalarSamples("value_0", values)});
   }
@@ -289,14 +334,14 @@ TEST(QueryEngine, WhereAndGroupByMatchManualPerPointAggregation) {
   // GROUP BY samples pools the three n_metrics points of each samples
   // value, ascending point index within the bucket.
   std::map<std::string, std::vector<double>> buckets;
-  for (const auto& [point, ref] : c->points) {
-    const BinaryGroupHeader& h = ref.group().header;
+  for (const auto& [point, groups] : c->points) {
+    const BinaryGroupHeader& h = groups.front()->header;
     size_t column = 0;
     while (h.scalar_names[column] != "value_0") {
       ++column;
     }
     std::vector<double> values;
-    ReadScalarColumn(ref.group(), column, &values);
+    ReadScalarColumn(*groups.front(), column, &values);
     auto& pool = buckets[h.param_values[1]];
     pool.insert(pool.end(), values.begin(), values.end());
   }
@@ -398,6 +443,21 @@ TEST(QueryEngine, RejectsBadQueriesWithUsefulErrors) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("comma"), std::string::npos) << e.what();
   }
+  // A campaign has no sweep parameters to filter or group by.
+  const std::string campaign = WriteTempFile("query_where_campaign.wlsr", CampaignBytes(3));
+  Catalog campaign_catalog;
+  campaign_catalog.RegisterFile(campaign);
+  for (const char* query : {"SELECT * FROM pipeline_probe:campaign WHERE counters=3",
+                            "SELECT * FROM pipeline_probe:campaign GROUP BY counters"}) {
+    try {
+      RunQuery(campaign_catalog, query);
+      FAIL() << query << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown sweep parameter 'counters'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   // ...while a comma-joined list split across tokens stays legal.
   EXPECT_FALSE(
       RunQuery(fx.catalog, "SELECT value_0, value_1 FROM pipeline_probe:sweep WHERE n_metrics=3")
@@ -410,13 +470,16 @@ TEST(ExtentCache, CountsHitsMissesEvictionsAndHonoursByteBudget) {
   SweepFixture fx;
   const Collection* c = fx.catalog.Find("pipeline_probe:sweep");
   ASSERT_NE(c, nullptr);
-  const std::vector<GroupRef> groups = c->GroupsInOrder();
+  std::vector<const BinaryGroup*> groups;
+  for (const auto& [point, pooled] : c->points) {
+    groups.insert(groups.end(), pooled.begin(), pooled.end());
+  }
   ASSERT_EQ(groups.size(), 6u);
 
   // Budget of one column (6 rows): every distinct fetch evicts the last.
   ExtentCache small(6 * sizeof(double));
-  for (const GroupRef& ref : groups) {
-    small.GetScalarColumn(ref, 0);
+  for (const BinaryGroup* group : groups) {
+    small.GetScalarColumn(*group, 0);
   }
   ExtentCacheStats s = small.Stats();
   EXPECT_EQ(s.lookups, 6u);
@@ -427,10 +490,10 @@ TEST(ExtentCache, CountsHitsMissesEvictionsAndHonoursByteBudget) {
   EXPECT_EQ(s.cached_columns, 1u);
   // Warm repeat of the resident column is a hit; a column larger than the
   // whole budget is served but not retained.
-  small.GetScalarColumn(groups.back(), 0);
+  small.GetScalarColumn(*groups.back(), 0);
   EXPECT_EQ(small.Stats().hits, 1u);
   ExtentCache tiny(1);
-  const ColumnPtr served = tiny.GetScalarColumn(groups[0], 0);
+  const ColumnPtr served = tiny.GetScalarColumn(*groups[0], 0);
   ASSERT_NE(served, nullptr);
   EXPECT_EQ(served->size(), 6u);
   EXPECT_EQ(tiny.Stats().cached_columns, 0u);
@@ -465,7 +528,7 @@ TEST(ExtentCache, NanAndNegativeZeroSurviveTheCachedPathBitwise) {
   ASSERT_NE(c, nullptr);
   ExtentCache cache(64u << 20);
   for (int pass = 0; pass < 2; ++pass) {  // pass 0 decodes, pass 1 hits
-    const ColumnPtr col = cache.GetScalarColumn(c->GroupsInOrder()[0], 0);
+    const ColumnPtr col = cache.GetScalarColumn(*c->points.at(0).front(), 0);
     ASSERT_EQ(col->size(), 6u);
     for (size_t i = 0; i < 6; ++i) {
       EXPECT_EQ(std::memcmp(&(*col)[i], &hard[i], sizeof(double)), 0)

@@ -103,7 +103,6 @@ TEST(BinaryCodec, BinsRoundTripAndCompressZeroRuns) {
 
 TEST(BinaryHeaders, FileAndGroupHeadersRoundTrip) {
   BinaryFileHeader fh;
-  fh.kind = BinaryFileKind::kSweep;
   fh.n_groups = 6;
   fh.base_seed = 99;
   fh.replications = 1000;
@@ -113,7 +112,7 @@ TEST(BinaryHeaders, FileAndGroupHeadersRoundTrip) {
   EncodeFileHeader(bytes, fh);
   ByteReader in(bytes);
   const BinaryFileHeader fh2 = DecodeFileHeader(in);
-  EXPECT_EQ(fh2.kind, fh.kind);
+  EXPECT_EQ(static_cast<uint8_t>(bytes[6]), 1u);  // kind: derived from the axes
   EXPECT_EQ(static_cast<uint8_t>(bytes[7]), 0u);  // the reserved byte after kind
   EXPECT_EQ(fh2.n_groups, fh.n_groups);
   EXPECT_EQ(fh2.base_seed, fh.base_seed);
@@ -148,6 +147,8 @@ TEST(BinaryHeaders, FileAndGroupHeadersRoundTrip) {
 }
 
 // --- end-to-end campaign/sweep fixtures ----------------------------------------
+
+constexpr size_t kKindOffset = 6;  // magic u32 | version u16 | kind u8
 
 // The probe campaign: a zero-axis grid, i.e. exactly what wlansim_run runs
 // without --sweep.
@@ -202,14 +203,15 @@ TEST(BinaryWriter, CampaignBytesIdenticalAcrossWorkerCounts) {
 }
 
 TEST(BinaryWriter, ZeroAxisRunWritesACampaignFile) {
-  const BinaryResultsFile file = ParseBinaryResults(CampaignBinary(2, 16));
-  EXPECT_EQ(file.header.kind, BinaryFileKind::kCampaign);
+  const std::string bytes = CampaignBinary(2, 16);
+  EXPECT_EQ(bytes[kKindOffset], 0);  // the kind byte follows the axis count
+  const BinaryResultsFile file = ParseBinaryResults(bytes);
   EXPECT_TRUE(file.header.param_keys.empty());
   ASSERT_EQ(file.groups.size(), 1u);
   EXPECT_EQ(file.groups[0].header.point_index, 0u);
   EXPECT_EQ(file.groups[0].header.point_seed, 99u);  // the campaign's base seed
   EXPECT_EQ(file.groups[0].header.n_rows, 16u);
-  EXPECT_EQ(ParseBinaryResults(SweepBinary(2, 0, 1)).header.kind, BinaryFileKind::kSweep);
+  EXPECT_EQ(SweepBinary(2, 0, 1)[kKindOffset], 1);
 }
 
 TEST(BinaryWriter, SweepBytesIdenticalAcrossWorkerCounts) {
@@ -409,6 +411,110 @@ TEST(BinaryWriter, RejectsSecondCampaignLikeTheCsvWriter) {
   options.point_sinks.push_back(&writer);
   RunSweepCampaign(options);
   EXPECT_THROW(RunSweepCampaign(options), std::logic_error);
+}
+
+// Frames hand-built group bodies under a file header, CRCs intact — the
+// shape of a file a foreign or buggy writer could produce.
+std::string FramedFile(const std::vector<std::string>& param_keys,
+                       const std::vector<std::string>& bodies) {
+  BinaryFileHeader header;
+  header.n_groups = bodies.size();
+  header.replications = 1;
+  header.scenario = "crafted";
+  header.param_keys = param_keys;
+  std::string bytes;
+  EncodeFileHeader(bytes, header);
+  std::ostringstream out;
+  out << bytes;
+  for (const std::string& body : bodies) {
+    WriteFramedGroup(out, body);
+  }
+  return out.str();
+}
+
+// One well-formed single-row group body at `point`.
+std::string GroupBody(uint64_t point, std::vector<std::string> param_values) {
+  GroupEncoder encoder(point, 1, std::move(param_values), 1);
+  ReplicationRecord record;
+  record.metrics["x"] = 1.0;
+  encoder.OnRecord(record);
+  return encoder.Finish().body;
+}
+
+template <typename Fn>
+std::string RuntimeErrorOf(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "(no std::runtime_error)";
+}
+
+TEST(BinaryReader, KindByteThatDisagreesWithTheAxesIsCorrupt) {
+  std::string campaign = CampaignBinary(1, 4);
+  campaign[kKindOffset] = 1;
+  EXPECT_NE(RuntimeErrorOf([&] { ParseBinaryResults(campaign); }).find("kind byte"),
+            std::string::npos);
+  std::string sweep = SweepBinary(1, 0, 1);
+  sweep[kKindOffset] = 0;
+  EXPECT_NE(RuntimeErrorOf([&] { ParseBinaryResults(sweep); }).find("kind byte"),
+            std::string::npos);
+}
+
+TEST(BinaryReader, RepeatedReorderedOrNonZeroCampaignPointIsCorrupt) {
+  ASSERT_NO_THROW(
+      ParseBinaryResults(FramedFile({"k"}, {GroupBody(0, {"a"}), GroupBody(1, {"b"})})));
+  for (const std::string& bytes :
+       {FramedFile({"k"}, {GroupBody(0, {"a"}), GroupBody(0, {"a"})}),
+        FramedFile({"k"}, {GroupBody(1, {"b"}), GroupBody(0, {"a"})}),
+        FramedFile({}, {GroupBody(0, {}), GroupBody(0, {})})}) {
+    EXPECT_NE(RuntimeErrorOf([&] { ParseBinaryResults(bytes); }).find("repeats or reorders"),
+              std::string::npos);
+  }
+  EXPECT_NE(RuntimeErrorOf([&] { ParseBinaryResults(FramedFile({}, {GroupBody(3, {})})); })
+                .find("not point 0"),
+            std::string::npos);
+}
+
+TEST(BinaryReader, DamagedCountsThrowBeforeSizingAnAllocation) {
+  // The header's n_groups is outside every CRC: a flipped high byte claimed
+  // ~2^62 groups, and the reader reserved them before reading one.
+  std::string flipped = SweepBinary(1, 0, 1);
+  flipped[15] = 0x40;
+  EXPECT_NE(RuntimeErrorOf([&] { ParseBinaryResults(flipped); }).find("truncated"),
+            std::string::npos);
+
+  // Inside a CRC-sealed group, a damaged writer's name count must not size
+  // an allocation either.
+  std::string body;
+  PutU64(body, 0);                      // point_index
+  PutU64(body, 1);                      // point_seed
+  PutVarint(body, 0);                   // no parameter values
+  PutU64(body, 1);                      // n_rows
+  PutVarint(body, uint64_t{1} << 40);   // n_scalars
+  PutString(body, "x");
+  EXPECT_NE(RuntimeErrorOf([&] { ParseBinaryResults(FramedFile({}, {body})); }).find("truncated"),
+            std::string::npos);
+
+  // Nor may a bin count, which zero-run compression lets exceed the bytes.
+  BinaryGroupHeader huge_bins;
+  huge_bins.n_rows = 1;
+  huge_bins.dist_names = {"h"};
+  huge_bins.dist_geometries = {{0.0, 1.0, uint64_t{1} << 40}};
+  std::string bins_body;
+  EncodeGroupHeader(bins_body, huge_bins);
+  EXPECT_NE(RuntimeErrorOf([&] { ParseBinaryResults(FramedFile({}, {bins_body})); })
+                .find("bins"),
+            std::string::npos);
+
+  // A row count its extents cannot hold is rejected before a column
+  // reader reserves it.
+  BinaryGroup group = ParseBinaryResults(FramedFile({}, {GroupBody(0, {})})).groups.front();
+  group.header.n_rows = uint64_t{1} << 50;
+  std::vector<double> column;
+  EXPECT_NE(RuntimeErrorOf([&] { ReadScalarColumn(group, 0, &column); }).find("truncated"),
+            std::string::npos);
 }
 
 // --- streamed sweep CSV (satellite: reorder-buffered long-format streaming) -----

@@ -2,14 +2,15 @@
 // (the --binary-out output of wlansim_run; format spec in docs/results.md).
 //
 //   wlansim_results inspect FILE             schema + per-group summary
-//   wlansim_results merge OUT IN...          join sweep shard files into one,
+//   wlansim_results merge OUT IN...          join the shard files of one run,
 //                                            byte-identical to the unsharded
 //                                            file when the shards cover the grid
 //   wlansim_results export FILE [--out=CSV]  back to the exact long-format CSV
 //                                            the run itself would have written
 //   wlansim_results aggregate FILE... [--out=CSV]
 //                                            Welford mean/stddev/CI + exact
-//                                            quantiles, column at a time —
+//                                            quantiles per grid point over the
+//                                            pooled groups, column at a time —
 //                                            rows are never materialized
 
 #include <cstdio>
@@ -32,18 +33,19 @@ int Usage() {
                "\n"
                "commands:\n"
                "  inspect FILE            print the file's schema header and groups\n"
-               "  merge OUT IN [IN...]    merge sweep shard files into OUT, groups\n"
-               "                          ordered by grid point index; byte-identical\n"
-               "                          to the unsharded file when the shards cover\n"
-               "                          the whole grid\n"
+               "  merge OUT IN [IN...]    merge the shard files of one run (same seed)\n"
+               "                          into OUT, groups ordered by grid point index;\n"
+               "                          byte-identical to the unsharded file when the\n"
+               "                          shards cover the whole grid\n"
                "  export FILE [--out=F]   re-emit the run's CSV byte-for-byte: the\n"
-               "                          per-replication CSV for a campaign file, the\n"
-               "                          long-format CSV for a sweep file (stdout\n"
-               "                          unless --out)\n"
+               "                          per-replication CSV for a file without sweep\n"
+               "                          axes (a campaign), the long-format CSV for a\n"
+               "                          file with axes (stdout unless --out)\n"
                "  aggregate FILE [FILE...] [--out=F]\n"
                "                          exact aggregates (Welford mean/stddev/CI +\n"
-               "                          exact quantiles) over all inputs, decoding\n"
-               "                          one column at a time\n"
+               "                          exact quantiles) per grid point, pooling the\n"
+               "                          inputs' groups of each point in argument\n"
+               "                          order; the same run given twice is rejected\n"
                "\n"
                "  --version               print the build version and exit\n");
   return 1;
