@@ -1,8 +1,11 @@
-// M5 — results-sink cost: the WLSR binary columnar writer vs the streaming
-// CSV writer, on the in-tree perf harness.
+// M5 — results-sink cost: the WLSR binary columnar writer vs the
+// per-replication CSV writer, on the in-tree perf harness.
 //
-// One synthetic record stream is pushed through both sinks at 10^4, 10^5
-// and 10^6 replications. The "counters" mix mirrors the CI size gate
+// One synthetic record stream is encoded into a grid point's group, as the
+// campaign engine does, and the finished group is written both ways: as a
+// WLSR file (--binary-out) and as per-replication CSV rows (--reps-csv,
+// WriteReplicationCsv). Each sink's time covers encoding plus its write, at
+// 10^4, 10^5 and 10^6 replications. The "counters" mix mirrors the CI size gate
 // (pipeline_probe --param counters=20 --param n_metrics=1): twenty
 // count-style metrics near 1e7 with a small per-replication jitter plus one
 // full-entropy value — the shape where delta+varint columns beat %.9g text
@@ -21,7 +24,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <ostream>
 #include <streambuf>
 #include <string>
@@ -29,9 +31,9 @@
 
 #include "bench/perf_harness.h"
 #include "core/random.h"
+#include "results/binary_reader.h"
 #include "results/binary_writer.h"
 #include "runner/metric_recorder.h"
-#include "runner/result_consumer.h"
 #include "stats/table.h"
 
 namespace wlansim {
@@ -92,50 +94,37 @@ void FillRecord(ReplicationRecord& r, uint64_t rep, Rng& rng, bool with_hist) {
   }
 }
 
-// The campaign engine's --binary-out path as one record consumer: records
-// stream into the point's GroupEncoder, and the finished group goes to the
-// file writer, exactly as the engine hands it over.
-class BinarySink final : public ResultConsumer {
- public:
-  BinarySink(std::ostream& out, uint64_t rows) : encoder_(0, 1, {}, rows), writer_(out) {}
-
-  void BeginCampaign(const CampaignManifest& manifest) override {
-    writer_.BeginSweep({manifest.scenario, manifest.base_seed, manifest.replications, {}, 1, 1});
-  }
-  void OnRecord(const ReplicationRecord& record) override { encoder_.OnRecord(record); }
-  void EndCampaign() override {
-    writer_.OnPointDone({}, {}, encoder_.Finish());
-    writer_.EndSweep();
-  }
-
- private:
-  GroupEncoder encoder_;
-  BinaryResultsWriter writer_;
-};
-
 struct SinkRun {
   uint64_t bytes = 0;
   double secs = 0.0;
 };
 
-// Streams `rows` freshly generated records through `consumer`, timing the
-// whole Begin/OnRecord/End span.
-template <typename MakeConsumer>
-SinkRun RunSink(uint64_t rows, bool with_hist, const MakeConsumer& make_consumer) {
+// Streams `rows` freshly generated records into a point's GroupEncoder,
+// as the campaign engine does, and hands the finished group to `write`
+// (one output of the point), timing the whole span.
+template <typename WriteGroup>
+SinkRun RunSink(uint64_t rows, bool with_hist, const WriteGroup& write) {
   CountingBuf buf;
   std::ostream out(&buf);
-  auto consumer = make_consumer(out);
   Rng rng(42);
   ReplicationRecord record;
   const auto start = std::chrono::steady_clock::now();
-  consumer->BeginCampaign({"bench_m5", 1, rows});
+  GroupEncoder encoder(0, 1, {}, rows);
   for (uint64_t rep = 0; rep < rows; ++rep) {
     FillRecord(record, rep, rng, with_hist);
-    consumer->OnRecord(record);
+    encoder.Add(record);
   }
-  consumer->EndCampaign();
+  write(encoder.Finish(), out);
   const auto end = std::chrono::steady_clock::now();
   return {buf.bytes(), std::chrono::duration<double>(end - start).count()};
+}
+
+// --binary-out: the group framed into a WLSR file.
+void WriteBinary(const BinaryGroup& group, std::ostream& out) {
+  BinaryResultsWriter writer(out);
+  writer.BeginSweep({"bench_m5", 1, group.header.n_rows, {}, 1, 1});
+  writer.OnPointDone({}, {}, group);
+  writer.EndSweep();
 }
 
 int Run(int argc, char** argv) {
@@ -173,17 +162,14 @@ int Run(int argc, char** argv) {
 
       SinkRun csv{};
       harness.Bench(name, [rows, with_hist, &csv] {
-        csv = RunSink(rows, with_hist,
-                      [](std::ostream& out) { return std::make_unique<StreamingCsvWriter>(out); });
+        csv = RunSink(rows, with_hist, WriteReplicationCsv);
         return rows;
       });
       std::snprintf(name, sizeof(name), "%s_binary_%llu", mix,
                     static_cast<unsigned long long>(rows));
       SinkRun bin{};
       harness.Bench(name, [rows, with_hist, &bin] {
-        bin = RunSink(rows, with_hist, [rows](std::ostream& out) {
-          return std::make_unique<BinarySink>(out, rows);
-        });
+        bin = RunSink(rows, with_hist, WriteBinary);
         return rows;
       });
 

@@ -37,7 +37,6 @@
 #include "query/extent_cache.h"
 #include "results/binary_writer.h"
 #include "runner/metric_recorder.h"
-#include "runner/result_consumer.h"
 #include "stats/table.h"
 
 namespace wlansim {
@@ -71,7 +70,7 @@ bool WriteCampaignFile(const std::string& path, const std::string& scenario, uin
   ReplicationRecord record;
   for (uint64_t rep = 0; rep < rows; ++rep) {
     FillRecord(record, rep, rng);
-    encoder.OnRecord(record);
+    encoder.Add(record);
   }
   BinaryResultsWriter writer(out);
   writer.BeginSweep({scenario, 1, rows, {}, 1, 1});

@@ -121,13 +121,8 @@ class Channel {
 
   // Built-in loss models bump their MutationEpoch on mid-run edits (e.g.
   // MatrixLossModel::SetLoss), which invalidates memoized rows
-  // automatically. A user-defined model that mutates without bumping must
-  // call InvalidateLinkCache() instead.
+  // automatically.
   PropagationLossModel& loss_model() { return *loss_; }
-
-  // Drops every memoized link row; the next transmission recomputes through
-  // the loss model.
-  void InvalidateLinkCache() { link_cache_.Clear(); }
 
   // Link-cache hit/miss counters (diagnostics and cache tests).
   struct CacheStats {

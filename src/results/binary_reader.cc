@@ -366,31 +366,40 @@ void MergeBinaryFiles(const std::vector<std::string>& input_paths, std::ostream&
   }
 }
 
-std::string ExportBinaryCsv(const BinaryResultsFile& file) {
-  if (!file.header.param_keys.empty()) {
-    return AggregateBinary(std::vector<const BinaryResultsFile*>{&file});
+void WriteReplicationCsv(const BinaryGroup& group, std::ostream& out) {
+  if (group.header.n_rows == 0) {
+    return;
   }
-  // Matches StreamingCsvWriter bytes: no rows, no output (the writer's
-  // header goes out with the first record).
-  if (file.groups.empty() || file.groups.front().header.n_rows == 0) {
-    return "";
-  }
-  const BinaryGroup& group = file.groups.front();
-  std::string csv = "replication";
+  // Rows are formatted into one small buffer that is handed to `out`
+  // every kFlushBytes, so the text never exists whole.
+  constexpr size_t kFlushBytes = size_t{1} << 16;
+  std::string text = "replication";
   for (const std::string& name : group.header.scalar_names) {
-    csv += ",";
-    csv += CsvField(name);
+    text += ",";
+    text += CsvField(name);
   }
-  csv += "\n";
+  text += "\n";
   VisitScalarRows(group, [&](uint64_t row, const std::vector<double>& values) {
-    csv += std::to_string(row);
+    text += std::to_string(row);
     for (double v : values) {
-      csv += ",";
-      csv += CsvNum(v);
+      text += ",";
+      text += CsvNum(v);
     }
-    csv += "\n";
+    text += "\n";
+    if (text.size() >= kFlushBytes) {
+      out.write(text.data(), static_cast<std::streamsize>(text.size()));
+      text.clear();
+    }
   });
-  return csv;
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+}
+
+void ExportBinaryCsv(const BinaryResultsFile& file, std::ostream& out) {
+  if (!file.header.param_keys.empty()) {
+    out << AggregateBinary(std::vector<const BinaryResultsFile*>{&file});
+  } else if (!file.groups.empty()) {
+    WriteReplicationCsv(file.groups.front(), out);
+  }
 }
 
 std::string AggregateBinary(const std::vector<BinaryResultsFile>& files) {

@@ -91,11 +91,18 @@ PooledPoints PoolGroups(const std::vector<const BinaryResultsFile*>& files);
 // identical to the file an unsharded run writes.
 void MergeBinaryFiles(const std::vector<std::string>& input_paths, std::ostream& out);
 
+// The per-replication CSV of one group — `replication,<scalar columns>`,
+// one row per replication — streamed to `out` extent by extent. The one
+// writer of these bytes: --reps-csv (ReplicationCsvWriter) and
+// ExportBinaryCsv both call it. A group without rows writes nothing.
+void WriteReplicationCsv(const BinaryGroup& group, std::ostream& out);
+
 // Exports back to the text formats, byte-identical to what the run itself
 // wrote: a file without sweep axes reproduces the per-replication CSV
-// (--reps-csv); a file with axes reproduces the long-format CSV (--csv),
-// which is AggregateBinary of the file.
-std::string ExportBinaryCsv(const BinaryResultsFile& file);
+// (--reps-csv, WriteReplicationCsv of its group); a file with axes
+// reproduces the long-format CSV (--csv), which is AggregateBinary of the
+// file.
+void ExportBinaryCsv(const BinaryResultsFile& file, std::ostream& out);
 
 // Exact per-metric aggregates of one group, one column at a time: the fold
 // the campaign engine runs on every finished grid point, so a run's --csv

@@ -102,7 +102,7 @@ void GroupEncoder::CheckSchema(const ReplicationRecord& record) const {
   }
 }
 
-void GroupEncoder::OnRecord(const ReplicationRecord& record) {
+void GroupEncoder::Add(const ReplicationRecord& record) {
   if (!schema_fixed_) {
     FixSchema(record);
   } else {

@@ -5,8 +5,9 @@
 // full extent as per-column chunks, and finishes into the group's
 // CRC-covered body. Peak memory is one extent of raw columns plus the
 // (compact) encoded body — never the row set. The campaign engine runs one
-// encoder per grid point as that point's only record store and folds the
-// finished group into its aggregates.
+// encoder per grid point as that point's only record store; every output
+// of the point (its aggregates, --binary-out, --reps-csv) is derived from
+// the finished group.
 //
 // BinaryResultsWriter is the SweepPointSink behind --binary-out: one framed
 // group per grid point, emitted in grid order by the engine's ordered point
@@ -25,7 +26,6 @@
 #include "results/binary_format.h"
 #include "results/binary_reader.h"
 #include "runner/metric_recorder.h"
-#include "runner/result_consumer.h"
 #include "runner/sweep.h"
 
 namespace wlansim {
@@ -40,15 +40,16 @@ void WriteFramedGroup(std::ostream& out, const std::string& body);
 // distribution names, bin geometries — is fixed by the first record; a
 // later record that drifts throws std::runtime_error. A campaign therefore
 // requires every replication to report the same metric set.
-class GroupEncoder final : public ResultConsumer {
+class GroupEncoder {
  public:
   // `expected_rows` (the replication count) only sizes the body buffer; any
   // number of records may arrive.
   GroupEncoder(uint64_t point_index, uint64_t point_seed, std::vector<std::string> param_values,
                uint64_t expected_rows);
 
-  // Records must arrive in replication order (the pipeline guarantees it).
-  void OnRecord(const ReplicationRecord& record) override;
+  // Appends one row. Records must arrive in replication order (the
+  // engine's reorder buffer guarantees it).
+  void Add(const ReplicationRecord& record);
 
   // Flushes the trailing partial extent and returns the finished group,
   // its body moved out of the encoder (no copy). The encoder is spent

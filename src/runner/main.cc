@@ -13,6 +13,7 @@
 //   wlansim_run --scenario=rate_vs_distance --sweep distance=10:100:10 --reps=8 --csv=f1.csv
 //   wlansim_run --scenario=saturation --sweep n_stas=1,5,10 --shard=0/2 --csv=half0.csv
 
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -27,7 +28,6 @@
 #include "core/hotpath_stats.h"
 #include "core/version.h"
 #include "results/binary_writer.h"
-#include "runner/result_consumer.h"
 #include "runner/scenario_registry.h"
 #include "runner/sweep.h"
 #include "stats/table.h"
@@ -56,8 +56,8 @@ void PrintUsage() {
       "                      sweeping: params...,metric,count,mean,stddev,...),\n"
       "                      one grid point at a time as points complete\n"
       "  --json=FILE         write the aggregate table as JSON (no sweep mode)\n"
-      "  --reps-csv=FILE     write one CSV row per replication as replications\n"
-      "                      complete (no sweep mode)\n"
+      "  --reps-csv=FILE     write one CSV row per replication, streamed from\n"
+      "                      the finished run's records (no sweep mode)\n"
       "  --binary-out=FILE   write the full per-replication record stream\n"
       "                      (metrics plus histogram snapshots) as a WLSR\n"
       "                      binary columnar file, in campaign and sweep mode\n"
@@ -166,8 +166,8 @@ bool OpenOutput(const std::string& path, std::ofstream* out) {
 }
 
 // Runs the campaign (zero axes) or sweep and writes every requested output.
-// --csv, --reps-csv and --binary-out stream to disk while the run
-// progresses; the stdout table and --json read the retained aggregates.
+// --csv, --reps-csv and --binary-out are point sinks, written as each grid
+// point finishes; the stdout table and --json read the retained aggregates.
 int Run(SweepOptions& options, const std::string& csv_path, const std::string& json_path,
         const std::string& reps_csv_path, const std::string& binary_out_path, bool quiet,
         bool verbose) {
@@ -190,13 +190,13 @@ int Run(SweepOptions& options, const std::string& csv_path, const std::string& j
     options.point_sinks.push_back(binary_writer.get());
   }
   std::ofstream reps_out;
-  std::unique_ptr<StreamingCsvWriter> reps_writer;
+  std::unique_ptr<ReplicationCsvWriter> reps_writer;
   if (!reps_csv_path.empty()) {
     if (!OpenOutput(reps_csv_path, &reps_out)) {
       return 1;
     }
-    reps_writer = std::make_unique<StreamingCsvWriter>(reps_out);
-    options.consumers.push_back(reps_writer.get());
+    reps_writer = std::make_unique<ReplicationCsvWriter>(reps_out);
+    options.point_sinks.push_back(reps_writer.get());
   }
   // Per-point aggregates only need buffering for the stdout table and the
   // JSON file; a quiet run holds nothing beyond its in-flight points.
@@ -310,7 +310,12 @@ int Main(int argc, char** argv) {
     } else if ((v = value_of(arg, "--reps")) != nullptr) {
       options.replications = parse_u64("--reps", v);
     } else if ((v = value_of(arg, "--jobs")) != nullptr) {
-      options.jobs = static_cast<unsigned>(parse_u64("--jobs", v));
+      const uint64_t jobs = parse_u64("--jobs", v);
+      if (jobs > UINT_MAX) {
+        std::fprintf(stderr, "--jobs value '%s' is out of range\n", v);
+        parse_failed = true;
+      }
+      options.jobs = static_cast<unsigned>(jobs);
     } else if ((v = value_of(arg, "--seed")) != nullptr) {
       options.base_seed = parse_u64("--seed", v);
     } else if ((v = value_of(arg, "--param")) != nullptr ||

@@ -5,7 +5,7 @@
 // scalar map Run() returns. When the replication finishes, Finish() folds
 // everything recorded (plus the scalars Run() returned, which keeps every
 // pre-recorder scenario working unmodified) into one ReplicationRecord, the
-// unit the ResultConsumer pipeline streams.
+// row the engine appends to its grid point's WLSR GroupEncoder.
 
 #ifndef WLANSIM_RUNNER_METRIC_RECORDER_H_
 #define WLANSIM_RUNNER_METRIC_RECORDER_H_
@@ -37,7 +37,8 @@ struct DistributionSnapshot {
 
 // Everything one replication produced: the scalar metric map (what the
 // legacy ReplicationResult carried) plus any recorded distributions.
-// Consumers receive records in replication order.
+// The engine appends records to their grid point's WLSR group in
+// replication order.
 struct ReplicationRecord {
   uint64_t replication = 0;
   std::map<std::string, double> metrics;
@@ -45,8 +46,8 @@ struct ReplicationRecord {
 };
 
 // Single-replication metric collector. Not thread-safe: each replication
-// owns its recorder, so recording never synchronizes — the pipeline's
-// ordered delivery is the only cross-thread point.
+// owns its recorder, so recording never synchronizes — the engine's
+// reorder buffer is the only cross-thread point.
 //
 // Flush rules (applied by Finish, documented here because the CSV column
 // set follows from them):

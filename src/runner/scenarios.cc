@@ -227,7 +227,7 @@ void RegisterDenseMultiBss(ScenarioRegistry& r) {
         const DenseMultiBssResult res = RunDenseMultiBssScenario(p);
         // The fairness view of the dense grid: a histogram over each
         // station's achieved goodput, recorded through the richer metric
-        // channel so consumers see the full distribution and the scalar
+        // channel so the result store keeps the full distribution and the scalar
         // rows gain per_sta_mbps_{p10,p50,p90,mean,min,max}. Opt-in
         // (sta_hist=true) so the default column set — and therefore every
         // historical CSV — is unchanged.

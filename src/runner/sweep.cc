@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -15,7 +14,7 @@
 #include "results/binary_reader.h"
 #include "results/binary_writer.h"
 #include "runner/metric_recorder.h"
-#include "runner/result_consumer.h"
+#include "runner/reorder.h"
 #include "runner/scenario_registry.h"
 
 namespace wlansim {
@@ -182,6 +181,11 @@ void SweepGrid::AddAxis(SweepAxis axis) {
       throw std::invalid_argument("duplicate sweep key '" + axis.key + "'");
     }
   }
+  size_t points = 0;
+  if (__builtin_mul_overflow(NumPoints(), axis.values.size(), &points)) {
+    throw std::invalid_argument("sweep axis '" + axis.key +
+                                "' makes the grid's point count overflow size_t");
+  }
   axes_.push_back(std::move(axis));
 }
 
@@ -217,9 +221,11 @@ std::pair<size_t, size_t> ShardRange(size_t total, unsigned index, unsigned coun
   if (count == 0 || index >= count) {
     throw std::invalid_argument("shard must be i/n with 0 <= i < n");
   }
-  const size_t begin = total * index / count;
-  const size_t end = total * (index + 1) / count;
-  return {begin, end};
+  // In 128 bits: total * count can exceed size_t for a large grid.
+  const auto bound = [&](unsigned i) {
+    return static_cast<size_t>(static_cast<unsigned __int128>(total) * i / count);
+  };
+  return {bound(index), bound(index + 1)};
 }
 
 void StreamingSweepCsvWriter::BeginSweep(const SweepManifest& manifest) {
@@ -247,6 +253,33 @@ void StreamingSweepCsvWriter::EndSweep() {
   out_.flush();
   if (!out_) {
     throw std::runtime_error("streaming sweep CSV write failed");
+  }
+}
+
+void ReplicationCsvWriter::BeginSweep(const SweepManifest& manifest) {
+  if (!manifest.param_keys.empty()) {
+    throw std::invalid_argument(
+        "the per-replication CSV needs a zero-axis grid (a campaign): one header, one point");
+  }
+  if (begun_) {
+    throw std::logic_error(
+        "ReplicationCsvWriter attached to a second run: one writer, one stream");
+  }
+  begun_ = true;
+}
+
+void ReplicationCsvWriter::OnPointDone(const SweepPointInfo& info,
+                                       const std::vector<MetricAggregate>& aggregates,
+                                       const BinaryGroup& group) {
+  (void)info;
+  (void)aggregates;
+  WriteReplicationCsv(group, out_);
+}
+
+void ReplicationCsvWriter::EndSweep() {
+  out_.flush();
+  if (!out_) {
+    throw std::runtime_error("per-replication CSV write failed");
   }
 }
 
@@ -287,12 +320,6 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
   if (options.replications == 0) {
     throw std::invalid_argument("a run needs at least one replication per grid point");
   }
-  if (!options.consumers.empty() && !options.grid.empty()) {
-    throw std::invalid_argument(
-        "per-replication consumers need a zero-axis grid (a campaign): one consumer serves one "
-        "record stream");
-  }
-
   const size_t total = options.grid.NumPoints();
   const auto [begin, end] = ShardRange(total, options.shard_index, options.shard_count);
 
@@ -329,17 +356,16 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
   const uint64_t reps = options.replications;
   const Scenario& scenario = *scenario_ptr;
 
-  // Each grid point owns a result pipeline whose built-in consumer is the
-  // point's GroupEncoder. The worker that finishes a point's last rep
-  // finishes the group, folds it and frees the collector, so peak memory
-  // is one encoded group per in-flight point.
+  // Each grid point reorders its records into its GroupEncoder. The worker
+  // that delivers a point's last replication finishes the group, folds it
+  // and frees the collector, so peak memory is one encoded group per
+  // in-flight point.
   struct PointCollector {
-    PointCollector(CampaignManifest manifest, const SweepPointInfo& info,
-                   std::vector<std::string> param_values)
-        : pipeline(manifest),
-          encoder(info.point_index, info.point_seed, std::move(param_values),
-                  manifest.replications) {}
-    ResultPipeline pipeline;
+    PointCollector(const SweepPointInfo& info, std::vector<std::string> param_values,
+                   uint64_t reps)
+        : records(reps),
+          encoder(info.point_index, info.point_seed, std::move(param_values), reps) {}
+    ReorderBuffer<ReplicationRecord> records;
     GroupEncoder encoder;
   };
 
@@ -358,7 +384,6 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
   std::vector<SweepPointInfo> point_infos(n_points);
   std::vector<ScenarioParams> point_params(n_points);
   std::vector<std::unique_ptr<PointCollector>> collectors(n_points);
-  std::vector<std::atomic<uint64_t>> completed(n_points);
   for (size_t p = 0; p < n_points; ++p) {
     SweepPointInfo& info = point_infos[p];
     info.point_index = begin + p;
@@ -371,17 +396,7 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
       param_values.push_back(value);
     }
     info.point_seed = SweepPointSeed(options.base_seed, info.point);
-    CampaignManifest manifest;
-    manifest.scenario = options.scenario;
-    manifest.base_seed = info.point_seed;
-    manifest.replications = reps;
-    collectors[p] =
-        std::make_unique<PointCollector>(std::move(manifest), info, std::move(param_values));
-    collectors[p]->pipeline.AddConsumer(&collectors[p]->encoder);
-    for (ResultConsumer* consumer : options.consumers) {
-      collectors[p]->pipeline.AddConsumer(consumer);
-    }
-    collectors[p]->pipeline.Begin();
+    collectors[p] = std::make_unique<PointCollector>(info, std::move(param_values), reps);
   }
   if (options.retain_points) {
     result.points.resize(n_points);
@@ -391,51 +406,45 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
     }
   }
 
-  // Points complete in worker order, but sinks see them in grid order:
-  // a completed point parks its group and aggregates here until every
-  // earlier point is done, then the in-order prefix flushes under the lock
-  // — the same reorder-buffer shape ResultPipeline uses per replication.
-  // Depth is bounded by the pool's completion skew, never by the grid size.
+  // Points complete in worker order, but sinks see them in grid order.
   struct DonePoint {
+    const SweepPointInfo* info = nullptr;
     BinaryGroup group;
     std::vector<MetricAggregate> aggregates;
   };
-  std::mutex sink_mu;
-  size_t next_point = 0;
-  std::map<size_t, DonePoint> pending_done;
+  ReorderBuffer<DonePoint> done_points(n_points);
 
   RunTaskPool(options.jobs, static_cast<uint64_t>(n_points) * reps, [&](uint64_t task) {
     const size_t p = static_cast<size_t>(task / reps);
     const uint64_t rep = task % reps;
-    ReplicationContext ctx;
-    ctx.replication = rep;
-    ctx.seed = SubstreamSeed(point_infos[p].point_seed, scenario.name(), rep);
     MetricRecorder recorder;
-    ctx.recorder = &recorder;
+    const ReplicationContext ctx{
+        .seed = SubstreamSeed(point_infos[p].point_seed, scenario.name(), rep),
+        .replication = rep,
+        .recorder = &recorder};
     const ReplicationResult returned = scenario.Run(point_params[p], ctx);
     PointCollector& collector = *collectors[p];
-    collector.pipeline.Deliver(recorder.Finish(rep, returned));
-    if (completed[p].fetch_add(1, std::memory_order_acq_rel) + 1 == reps) {
-      collector.pipeline.End();
-      DonePoint done;
-      done.group = collector.encoder.Finish();
-      collectors[p].reset();
-      done.aggregates = AggregateGroup(done.group);
-      if (options.retain_points) {
-        result.points[p].aggregates = done.aggregates;
-      }
-      std::lock_guard<std::mutex> lock(sink_mu);
-      pending_done.emplace(p, std::move(done));
-      while (!pending_done.empty() && pending_done.begin()->first == next_point) {
-        const DonePoint& head = pending_done.begin()->second;
-        for (SweepPointSink* sink : options.point_sinks) {
-          sink->OnPointDone(point_infos[next_point], head.aggregates, head.group);
-        }
-        pending_done.erase(pending_done.begin());
-        ++next_point;
-      }
+    if (!collector.records.Deliver(rep, recorder.Finish(rep, returned),
+                                   [&](const ReplicationRecord& record) {
+                                     collector.encoder.Add(record);
+                                   })) {
+      return;
     }
+    DonePoint done;
+    done.info = &point_infos[p];
+    done.group = collector.encoder.Finish();
+    collectors[p].reset();
+    done.aggregates = AggregateGroup(done.group);
+    if (options.retain_points) {
+      result.points[p].aggregates = done.aggregates;
+    }
+    done_points.Deliver(p, std::move(done), [&](const DonePoint& head) {
+      for (SweepPointSink* sink : options.point_sinks) {
+        sink->OnPointDone(*head.info, head.aggregates, head.group);
+      }
+    });
   });
+  done_points.CheckComplete();
 
   for (SweepPointSink* sink : options.point_sinks) {
     sink->EndSweep();

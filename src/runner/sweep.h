@@ -9,11 +9,11 @@
 // byte-identical for any --jobs value, any --shard=i/n split, and even any
 // axis ordering.
 //
-// Each point's records stream, in replication order, into that point's
-// WLSR GroupEncoder, the only record store. When the point's last
-// replication lands, the engine folds the finished group one column at a
-// time (AggregateGroup: exact quantiles at any replication count) and hands
-// group and aggregates to the point sinks.
+// Each point's records are reordered (runner/reorder.h) into replication
+// order and land in that point's WLSR GroupEncoder, the only record store.
+// When the point's last replication lands, the engine folds the finished
+// group one column at a time (AggregateGroup: exact quantiles at any
+// replication count) and hands group and aggregates to the point sinks.
 
 #ifndef WLANSIM_RUNNER_SWEEP_H_
 #define WLANSIM_RUNNER_SWEEP_H_
@@ -24,7 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "runner/result_consumer.h"
 #include "runner/result_sink.h"
 #include "runner/scenario.h"
 
@@ -54,7 +53,8 @@ SweepAxis ParseSweepAxis(const std::string& spec);
 class SweepGrid {
  public:
   // Throws std::invalid_argument when the axis key duplicates an existing
-  // axis or the axis has no values.
+  // axis, the axis has no values, or the grid's point count would overflow
+  // size_t.
   void AddAxis(SweepAxis axis);
 
   bool empty() const { return axes_.empty(); }
@@ -99,10 +99,9 @@ struct SweepPointInfo {
 
 // A sweep-wide consumer of per-point completions. Points finish in
 // completion order on the worker pool, but the engine re-orders them
-// (reorder buffer keyed by grid index, the same trick ResultPipeline plays
-// per replication) so OnPointDone always fires in ascending grid order,
-// serialized — sinks need no synchronization and can stream ordered output
-// while later points are still running.
+// (runner/reorder.h, keyed by grid index) so OnPointDone always fires in
+// ascending grid order, serialized — sinks need no synchronization and can
+// stream ordered output while later points are still running.
 class SweepPointSink {
  public:
   virtual ~SweepPointSink() = default;
@@ -141,6 +140,27 @@ class StreamingSweepCsvWriter final : public SweepPointSink {
   bool begun_ = false;
 };
 
+// The --reps-csv writer: `replication,<metric columns sorted by name>`, one
+// row per replication, streamed from the finished group of a zero-axis run
+// (a campaign) by WriteReplicationCsv — the function `wlansim_results
+// export` runs too, so both print the same bytes. BeginSweep throws
+// std::invalid_argument for a grid with axes (one header, one point) and
+// std::logic_error when the writer already served a run.
+class ReplicationCsvWriter final : public SweepPointSink {
+ public:
+  explicit ReplicationCsvWriter(std::ostream& out) : out_(out) {}
+
+  void BeginSweep(const SweepManifest& manifest) override;
+  void OnPointDone(const SweepPointInfo& info,
+                   const std::vector<MetricAggregate>& aggregates,
+                   const BinaryGroup& group) override;
+  void EndSweep() override;
+
+ private:
+  std::ostream& out_;
+  bool begun_ = false;
+};
+
 struct SweepOptions {
   std::string scenario;
   // Applied to every grid point. A key may not be both a base param and a
@@ -158,12 +178,6 @@ struct SweepOptions {
   // Per-point completion sinks (not owned, must outlive RunSweepCampaign).
   // Each receives every point in grid order; see SweepPointSink.
   std::vector<SweepPointSink*> point_sinks;
-  // Per-replication record consumers (not owned, must outlive the run),
-  // attached next to the point's encoder so they see every record in
-  // replication order — this is how --reps-csv streams rows to disk. Only
-  // a zero-axis grid (a campaign) accepts them: one consumer serves one
-  // record stream.
-  std::vector<ResultConsumer*> consumers;
   // When false, SweepResult::points stays empty — the sinks are the only
   // output, and peak memory no longer grows with the shard's point count.
   // (Aggregates are still computed per point and handed to the sinks.)
@@ -197,10 +211,9 @@ uint64_t SweepPointSeed(uint64_t base_seed,
 // options.replications replications of every grid point on options.jobs
 // threads. Throws std::invalid_argument for an unknown scenario (the
 // message lists the registered ones), an unknown or ambiguous parameter,
-// an invalid shard spec, zero replications, or consumers on a grid with
-// axes. A scenario
-// exception, or a replication whose metric set differs from the first
-// replication's, is rethrown on the calling thread.
+// an invalid shard spec, or zero replications. A scenario exception, or a
+// replication whose metric set differs from the first replication's, is
+// rethrown on the calling thread.
 SweepResult RunSweepCampaign(const SweepOptions& options);
 
 // The long-format combined CSV for a sweep (header + one row per point and

@@ -1,10 +1,11 @@
-// Results-pipeline tests: ordered fan-out through the reorder buffer
-// (out-of-order completion, double-set detection), MetricRecorder flush
-// rules, streamed per-replication CSV byte-identity (across worker counts
-// and against the run's own WLSR records), and sharded sweep CSV merging.
+// Results-pipeline tests: the engine's reorder buffer (out-of-order
+// completion, double-set detection), MetricRecorder flush rules,
+// per-replication CSV byte-identity (across worker counts and against the
+// export of the run's own WLSR file), and sharded sweep CSV merging.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -13,84 +14,63 @@
 #include "results/binary_reader.h"
 #include "results/binary_writer.h"
 #include "runner/metric_recorder.h"
-#include "runner/result_consumer.h"
+#include "runner/reorder.h"
 #include "runner/result_sink.h"
 #include "runner/sweep.h"
+#include "tests/run_support.h"
 
 namespace wlansim {
 namespace {
 
-// --- ResultPipeline ordering and double-set detection --------------------------
+// --- ReorderBuffer ordering and double-set detection ---------------------------
 
-ReplicationRecord MakeRecord(uint64_t replication, double value) {
-  ReplicationRecord record;
-  record.replication = replication;
-  record.metrics["x"] = value;
-  return record;
+// Delivers `item` at `index`, appending every emitted item to `seen`.
+bool DeliverTo(ReorderBuffer<double>& buffer, uint64_t index, double item,
+               std::vector<double>* seen) {
+  return buffer.Deliver(index, item, [seen](double emitted) { seen->push_back(emitted); });
 }
 
-class OrderSpy final : public ResultConsumer {
- public:
-  void BeginCampaign(const CampaignManifest& manifest) override {
-    begun_scenario = manifest.scenario;
-  }
-  void OnRecord(const ReplicationRecord& record) override {
-    seen.push_back(record.replication);
-  }
-  void EndCampaign() override { ended = true; }
-
-  std::string begun_scenario;
-  std::vector<uint64_t> seen;
-  bool ended = false;
-};
-
-CampaignManifest TestManifest(uint64_t replications) {
-  CampaignManifest manifest;
-  manifest.scenario = "probe";
-  manifest.replications = replications;
-  return manifest;
-}
-
-TEST(ResultPipelineTest, ReordersOutOfOrderCompletions) {
-  ResultPipeline pipeline(TestManifest(5));
-  OrderSpy spy;
-  pipeline.AddConsumer(&spy);
-  pipeline.Begin();
-  EXPECT_EQ(spy.begun_scenario, "probe");
+TEST(ReorderBufferTest, ReordersOutOfOrderCompletions) {
+  ReorderBuffer<double> buffer(5);
+  std::vector<double> seen;
+  std::vector<bool> completed;
   for (uint64_t index : {3u, 1u, 0u, 4u, 2u}) {
-    pipeline.Deliver(MakeRecord(index, 1.0));
+    completed.push_back(DeliverTo(buffer, index, 10.0 * static_cast<double>(index), &seen));
   }
-  pipeline.End();
-  EXPECT_EQ(spy.seen, (std::vector<uint64_t>{0, 1, 2, 3, 4}));
-  EXPECT_TRUE(spy.ended);
+  buffer.CheckComplete();
+  EXPECT_EQ(seen, (std::vector<double>{0, 10, 20, 30, 40}));
+  // Only the delivery that emits the last index reports completion.
+  EXPECT_EQ(completed, (std::vector<bool>{false, false, false, false, true}));
   // {3, 1} waited for 0; with 0 delivered the buffer drains, then {4}
-  // waits for 2: high-water mark is the 3 records present just after 0
+  // waits for 2: high-water mark is the 3 items present just after 0
   // arrives (and before the drain pops them).
-  EXPECT_EQ(pipeline.max_reorder_depth(), 3u);
+  EXPECT_EQ(buffer.max_reorder_depth(), 3u);
 }
 
-TEST(ResultPipelineTest, DoubleDeliveryThrows) {
-  ResultPipeline pipeline(TestManifest(3));
-  pipeline.Begin();
-  pipeline.Deliver(MakeRecord(1, 1.0));
-  // Both flavours: an index still buffered, and one already dispatched.
-  EXPECT_THROW(pipeline.Deliver(MakeRecord(1, 2.0)), std::logic_error);
-  pipeline.Deliver(MakeRecord(0, 1.0));
-  EXPECT_THROW(pipeline.Deliver(MakeRecord(0, 2.0)), std::logic_error);
-  EXPECT_THROW(pipeline.Deliver(MakeRecord(1, 2.0)), std::logic_error);
+TEST(ReorderBufferTest, DoubleDeliveryThrows) {
+  ReorderBuffer<double> buffer(3);
+  std::vector<double> seen;
+  DeliverTo(buffer, 1, 1.0, &seen);
+  // Both flavours: an index still buffered, and one already emitted.
+  EXPECT_THROW(DeliverTo(buffer, 1, 2.0, &seen), std::logic_error);
+  DeliverTo(buffer, 0, 1.0, &seen);
+  EXPECT_THROW(DeliverTo(buffer, 0, 2.0, &seen), std::logic_error);
+  EXPECT_THROW(DeliverTo(buffer, 1, 2.0, &seen), std::logic_error);
+  EXPECT_EQ(seen, (std::vector<double>{1.0, 1.0}));
 }
 
-TEST(ResultPipelineTest, OutOfRangeIndexThrows) {
-  ResultPipeline pipeline(TestManifest(2));
-  pipeline.Begin();
-  EXPECT_THROW(pipeline.Deliver(MakeRecord(2, 1.0)), std::out_of_range);
+TEST(ReorderBufferTest, OutOfRangeIndexThrows) {
+  ReorderBuffer<double> buffer(2);
+  std::vector<double> seen;
+  EXPECT_THROW(DeliverTo(buffer, 2, 1.0, &seen), std::out_of_range);
 }
 
-TEST(ResultPipelineTest, EndWithMissingReplicationsThrows) {
-  ResultPipeline pipeline(TestManifest(2));
-  pipeline.Begin();
-  pipeline.Deliver(MakeRecord(1, 1.0));  // 0 never arrives
-  EXPECT_THROW(pipeline.End(), std::logic_error);
+TEST(ReorderBufferTest, CheckCompleteWithMissingIndicesThrows) {
+  ReorderBuffer<double> buffer(2);
+  std::vector<double> seen;
+  DeliverTo(buffer, 1, 1.0, &seen);  // 0 never arrives
+  EXPECT_THROW(buffer.CheckComplete(), std::logic_error);
+  EXPECT_TRUE(seen.empty());
 }
 
 // --- MetricRecorder flush rules ------------------------------------------------
@@ -157,7 +137,7 @@ TEST(MetricRecorderTest, HistogramMisuseThrows) {
   EXPECT_THROW(recorder.DeclareHistogram("bad", 0.0, 1.0, 0), std::logic_error);
 }
 
-// --- Golden test: streamed per-replication CSV -------------------------------
+// --- Golden test: the per-replication CSV ------------------------------------
 
 // A campaign: the run engine's grid with no axes.
 SweepOptions ProbeCampaign(unsigned jobs, uint64_t reps) {
@@ -169,47 +149,37 @@ SweepOptions ProbeCampaign(unsigned jobs, uint64_t reps) {
   return options;
 }
 
-TEST(StreamingGolden, StreamedRowsMatchAcrossJobsAndTheRunsOwnRecords) {
-  // Rows hit the stream as replications complete (out of order across 8
-  // workers), yet the bytes must equal the serial run's and the export of
-  // the run's own WLSR group — the one record store.
-  std::ostringstream serial_rows;
-  StreamingCsvWriter serial_writer(serial_rows);
-  SweepOptions serial = ProbeCampaign(1, 64);
-  serial.consumers.push_back(&serial_writer);
-  RunSweepCampaign(serial);
-
-  SweepOptions parallel = ProbeCampaign(8, 64);
-  std::ostringstream parallel_rows;
-  StreamingCsvWriter parallel_writer(parallel_rows);
-  parallel.consumers.push_back(&parallel_writer);
-  std::ostringstream bin;
-  BinaryResultsWriter bin_writer(bin);
-  parallel.point_sinks.push_back(&bin_writer);
-  const SweepResult result = RunSweepCampaign(parallel);
-
-  EXPECT_EQ(parallel_rows.str(), serial_rows.str());
-  EXPECT_EQ(ExportBinaryCsv(ParseBinaryResults(bin.str())), serial_rows.str());
-  ASSERT_EQ(result.points.size(), 1u);
-  EXPECT_EQ(result.replications, 64u);
+// Runs `options` with the --reps-csv and --binary-out sinks attached;
+// returns the CSV and stores the WLSR bytes in `bin_out`.
+std::string RunRepsCsv(SweepOptions options, std::string* bin_out) {
+  std::ostringstream rows;
+  ReplicationCsvWriter writer(rows);
+  options.point_sinks.push_back(&writer);
+  *bin_out = RunBinary(options);
+  return rows.str();
 }
 
-TEST(StreamingGolden, StreamingWriterRejectsDriftingMetricSet) {
-  std::ostringstream out;
-  StreamingCsvWriter writer(out);
-  writer.OnRecord(MakeRecord(0, 1.0));
-  ReplicationRecord drifted = MakeRecord(1, 1.0);
-  drifted.metrics["extra"] = 2.0;
-  EXPECT_THROW(writer.OnRecord(drifted), std::runtime_error);
+TEST(StreamingGolden, RepsCsvMatchesAcrossJobsAndTheExportOfItsOwnFile) {
+  // Replications complete out of order across 8 workers, yet --reps-csv
+  // must equal the serial run's bytes and `wlansim_results export` of the
+  // run's own WLSR file.
+  std::string serial_bin, parallel_bin;
+  const std::string serial = RunRepsCsv(ProbeCampaign(1, 64), &serial_bin);
+  const std::string parallel = RunRepsCsv(ProbeCampaign(8, 64), &parallel_bin);
+  EXPECT_EQ(parallel, serial);
+  EXPECT_EQ(ExportCsv(parallel_bin), serial);
+  EXPECT_EQ(ExportCsv(serial_bin), serial);
+  EXPECT_EQ(serial.substr(0, serial.find('\n')), "replication,seed_mod,value_0,value_1,value_2");
+  EXPECT_EQ(std::count(serial.begin(), serial.end(), '\n'), 65);
 }
 
-TEST(StreamingGolden, StreamingWriterRejectsSecondCampaign) {
-  // Reusing one writer across campaigns would append replication-0 rows
-  // with no fresh header to the same stream — refuse, loudly.
+TEST(StreamingGolden, RepsCsvWriterRejectsSecondCampaign) {
+  // Reusing one writer across campaigns would append a second header and
+  // replication-0 rows to the same stream — refuse, loudly.
   std::ostringstream out;
-  StreamingCsvWriter writer(out);
+  ReplicationCsvWriter writer(out);
   SweepOptions options = ProbeCampaign(2, 4);
-  options.consumers.push_back(&writer);
+  options.point_sinks.push_back(&writer);
   RunSweepCampaign(options);
   EXPECT_THROW(RunSweepCampaign(options), std::logic_error);
 }
@@ -241,14 +211,7 @@ TEST(StreamingGolden, ShardedSweepCsvMergesByteForByte) {
 
 // --- dense_multi_bss per-station histogram through the recorder ----------------
 
-class DistributionSpy final : public ResultConsumer {
- public:
-  void OnRecord(const ReplicationRecord& record) override { records.push_back(record); }
-  std::vector<ReplicationRecord> records;
-};
-
 TEST(DenseMultiBssHistogram, PerStationThroughputRecorded) {
-  DistributionSpy spy;
   SweepOptions options;
   options.scenario = "dense_multi_bss";
   options.replications = 1;
@@ -257,24 +220,26 @@ TEST(DenseMultiBssHistogram, PerStationThroughputRecorded) {
   options.base_params.Set("stas_per_bss", "3");
   options.base_params.Set("sim_time_s", "0.3");
   options.base_params.Set("sta_hist", "true");
-  options.consumers.push_back(&spy);
   const SweepResult result = RunSweepCampaign(options);
 
+  // The record itself, from the scenario run outside the engine.
+  const ReplicationRecord record = RunReplication(options, 0);
+  const DistributionSnapshot& dist = record.distributions.at("per_sta_mbps");
+  EXPECT_EQ(dist.total, 6u);  // 2 BSS x 3 stations
+  EXPECT_GE(dist.min, 0.0);
+  const auto& m = record.metrics;
+  EXPECT_LE(m.at("per_sta_mbps_p10"), m.at("per_sta_mbps_p90"));
+  EXPECT_LE(m.at("per_sta_mbps_min"), m.at("per_sta_mbps_mean"));
+
+  // The campaign's one-replication aggregate is that record's value.
   bool saw_p50 = false;
   for (const MetricAggregate& a : result.points.front().aggregates) {
     if (a.metric == "per_sta_mbps_p50") {
       saw_p50 = true;
+      EXPECT_EQ(a.mean, m.at("per_sta_mbps_p50"));
     }
   }
   EXPECT_TRUE(saw_p50);
-
-  ASSERT_EQ(spy.records.size(), 1u);
-  const DistributionSnapshot& dist = spy.records[0].distributions.at("per_sta_mbps");
-  EXPECT_EQ(dist.total, 6u);  // 2 BSS x 3 stations
-  EXPECT_GE(dist.min, 0.0);
-  const auto& m = spy.records[0].metrics;
-  EXPECT_LE(m.at("per_sta_mbps_p10"), m.at("per_sta_mbps_p90"));
-  EXPECT_LE(m.at("per_sta_mbps_min"), m.at("per_sta_mbps_mean"));
 }
 
 TEST(DenseMultiBssHistogram, OffByDefaultKeepsColumnSetUnchanged) {

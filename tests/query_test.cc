@@ -514,7 +514,7 @@ TEST(ExtentCache, NanAndNegativeZeroSurviveTheCachedPathBitwise) {
     ReplicationRecord record;
     record.replication = rep;
     record.metrics["x"] = hard[rep];
-    encoder.OnRecord(record);
+    encoder.Add(record);
   }
   std::ostringstream bin;
   BinaryResultsWriter writer(bin);

@@ -1,8 +1,8 @@
 // WLSR binary results format tests: primitive/chunk codec round-trips, the
 // schema header round-trip (and the reserved legacy header byte), writer
 // determinism across worker counts, shard merge byte-identity against the
-// unsharded file, CSV export byte-identity against the text writers
-// (campaign and sweep), a run's --csv == AggregateBinary of its own
+// unsharded file, sweep CSV export byte-identity against the long-format
+// writer, a run's --csv == AggregateBinary of its own
 // --binary-out, histogram (DistributionSnapshot) fidelity, schema-drift
 // rejection, and corrupted/truncated-file rejection.
 
@@ -21,9 +21,9 @@
 #include "results/binary_reader.h"
 #include "results/binary_writer.h"
 #include "runner/metric_recorder.h"
-#include "runner/result_consumer.h"
 #include "runner/result_sink.h"
 #include "runner/sweep.h"
+#include "tests/run_support.h"
 
 namespace wlansim {
 namespace {
@@ -177,18 +177,6 @@ SweepOptions ProbeSweep(unsigned jobs, unsigned shard_index, unsigned shard_coun
   return options;
 }
 
-// Runs `options` with a binary writer attached; returns the file bytes.
-std::string RunBinary(SweepOptions options, SweepResult* result_out = nullptr) {
-  std::ostringstream bin;
-  BinaryResultsWriter writer(bin);
-  options.point_sinks.push_back(&writer);
-  SweepResult result = RunSweepCampaign(options);
-  if (result_out != nullptr) {
-    *result_out = std::move(result);
-  }
-  return bin.str();
-}
-
 std::string CampaignBinary(unsigned jobs, uint64_t reps) {
   return RunBinary(ProbeCampaign(jobs, reps));
 }
@@ -234,25 +222,14 @@ TEST(BinaryWriter, ShardMergeIsByteIdenticalToUnshardedFile) {
   EXPECT_EQ(merged.str(), full);
 }
 
-TEST(BinaryReader, CampaignExportMatchesCsvWritersByteForByte) {
-  std::ostringstream streamed_csv;
-  StreamingCsvWriter csv_writer(streamed_csv);
-  SweepOptions options = ProbeCampaign(8, 64);
-  options.consumers.push_back(&csv_writer);
-  const std::string bin = RunBinary(options);
-  EXPECT_EQ(ExportBinaryCsv(ParseBinaryResults(bin)), streamed_csv.str());
-}
-
 TEST(BinaryReader, SweepExportMatchesLongCsvByteForByte) {
   SweepResult result;
   const std::string bytes = SweepBinary(4, 0, 1, &result);
-  EXPECT_EQ(ExportBinaryCsv(ParseBinaryResults(bytes)), SweepResultToCsv(result));
+  EXPECT_EQ(ExportCsv(bytes), SweepResultToCsv(result));
 }
 
 TEST(BinaryReader, HistogramSnapshotsSurviveTheRoundTrip) {
-  InMemoryConsumer memory;
-  SweepOptions options = ProbeCampaign(4, 48);
-  options.consumers.push_back(&memory);
+  const SweepOptions options = ProbeCampaign(4, 48);
   const std::string bin = RunBinary(options);
 
   const BinaryResultsFile file = ParseBinaryResults(bin);
@@ -263,9 +240,9 @@ TEST(BinaryReader, HistogramSnapshotsSurviveTheRoundTrip) {
 
   std::vector<DistributionSnapshot> decoded;
   ReadDistColumn(file.groups[0], 0, &decoded);
-  ASSERT_EQ(decoded.size(), memory.records().size());
+  ASSERT_EQ(decoded.size(), options.replications);
   for (size_t i = 0; i < decoded.size(); ++i) {
-    const DistributionSnapshot& want = memory.records()[i].distributions.at("latency_hist");
+    const DistributionSnapshot want = RunReplication(options, i).distributions.at("latency_hist");
     EXPECT_EQ(decoded[i].bins, want.bins) << "row " << i;
     EXPECT_EQ(decoded[i].underflow, want.underflow);
     EXPECT_EQ(decoded[i].overflow, want.overflow);
@@ -305,7 +282,7 @@ TEST(BinaryReader, SweepCsvEqualsAggregateOfItsOwnBinary) {
   std::string bin;
   const std::string csv = RunCsvAndBinary(options, &bin);
   EXPECT_EQ(csv, AggregateBinary({ParseBinaryResults(bin)}));
-  EXPECT_EQ(csv, ExportBinaryCsv(ParseBinaryResults(bin)));
+  EXPECT_EQ(csv, ExportCsv(bin));
 }
 
 TEST(BinaryReader, LegacyStreamedHeaderByteIsIgnored) {
@@ -324,14 +301,13 @@ TEST(BinaryReader, LegacyStreamedHeaderByteIsIgnored) {
   legacy_campaign[kReservedOffset] = 1;
 
   const std::string exact_sweep_csv = SweepResultToCsv(sweep);
-  EXPECT_EQ(ExportBinaryCsv(ParseBinaryResults(legacy_sweep)), exact_sweep_csv);
+  EXPECT_EQ(ExportCsv(legacy_sweep), exact_sweep_csv);
   EXPECT_EQ(AggregateBinary({ParseBinaryResults(legacy_sweep)}), exact_sweep_csv);
   const std::string legacy_agg = AggregateBinary({ParseBinaryResults(legacy_campaign)});
   EXPECT_EQ(legacy_agg, AggregateBinary({ParseBinaryResults(campaign_bytes)}));
   EXPECT_EQ(legacy_agg.substr(0, legacy_agg.find('\n')),
             "metric,count,mean,stddev,ci95_half,min,max,p50,p95");
-  EXPECT_EQ(ExportBinaryCsv(ParseBinaryResults(legacy_campaign)),
-            ExportBinaryCsv(ParseBinaryResults(campaign_bytes)));
+  EXPECT_EQ(ExportCsv(legacy_campaign), ExportCsv(campaign_bytes));
   EXPECT_EQ(InspectBinary(ParseBinaryResults(legacy_campaign)),
             InspectBinary(ParseBinaryResults(campaign_bytes)));
 
@@ -390,21 +366,21 @@ TEST(BinaryReader, RejectsForeignAndDamagedFiles) {
   EXPECT_THROW(ParseBinaryResults(good + "x"), std::runtime_error);
 }
 
-TEST(BinaryWriter, RejectsSchemaDriftLikeTheCsvWriter) {
+TEST(BinaryWriter, RejectsSchemaDrift) {
   GroupEncoder encoder(0, 1, {}, 2);
   ReplicationRecord first;
   first.replication = 0;
   first.metrics["a"] = 1.0;
-  encoder.OnRecord(first);
+  encoder.Add(first);
 
   ReplicationRecord drifted;
   drifted.replication = 1;
   drifted.metrics["a"] = 2.0;
   drifted.metrics["extra"] = 3.0;
-  EXPECT_THROW(encoder.OnRecord(drifted), std::runtime_error);
+  EXPECT_THROW(encoder.Add(drifted), std::runtime_error);
 }
 
-TEST(BinaryWriter, RejectsSecondCampaignLikeTheCsvWriter) {
+TEST(BinaryWriter, RejectsSecondCampaign) {
   std::ostringstream bin;
   BinaryResultsWriter writer(bin);
   SweepOptions options = ProbeCampaign(2, 4);
@@ -437,7 +413,7 @@ std::string GroupBody(uint64_t point, std::vector<std::string> param_values) {
   GroupEncoder encoder(point, 1, std::move(param_values), 1);
   ReplicationRecord record;
   record.metrics["x"] = 1.0;
-  encoder.OnRecord(record);
+  encoder.Add(record);
   return encoder.Finish().body;
 }
 

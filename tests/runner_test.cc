@@ -13,11 +13,13 @@
 #include <vector>
 
 #include "core/random.h"
-#include "runner/result_consumer.h"
+#include "results/binary_reader.h"
+#include "results/binary_writer.h"
 #include "runner/result_sink.h"
 #include "runner/scenario.h"
 #include "runner/scenario_registry.h"
 #include "runner/sweep.h"
+#include "tests/run_support.h"
 
 namespace wlansim {
 namespace {
@@ -208,16 +210,15 @@ TEST(AggregationTest, CsvAndJsonShape) {
   EXPECT_NE(json.find("\"goodput\""), std::string::npos);
   EXPECT_NE(json.find("\"p50\": 1.5, \"p95\": 1.95}"), std::string::npos);
 
-  std::ostringstream reps;
-  StreamingCsvWriter writer(reps);
-  writer.BeginCampaign({"sat", 1, 2});
+  GroupEncoder encoder(0, 1, {}, 2);
   for (uint64_t i = 0; i < 2; ++i) {
     ReplicationRecord record;
     record.replication = i;
     record.metrics["goodput"] = 1.0 + static_cast<double>(i);
-    writer.OnRecord(record);
+    encoder.Add(record);
   }
-  writer.EndCampaign();
+  std::ostringstream reps;
+  WriteReplicationCsv(encoder.Finish(), reps);
   EXPECT_EQ(reps.str(), "replication,goodput\n0,1\n1,2\n");
 }
 
@@ -276,15 +277,17 @@ void RegisterTestScenarios() {
   (void)registered;
 }
 
-// Runs a campaign (a grid with no axes) and returns its aggregates, and its
-// records in replication order.
-std::vector<MetricAggregate> RunRecorded(SweepOptions options,
-                                         std::vector<ReplicationRecord>* records) {
-  InMemoryConsumer memory;
-  options.consumers.push_back(&memory);
-  SweepResult result = RunSweepCampaign(options);
-  *records = memory.records();
-  return result.points.front().aggregates;
+// Runs a campaign (a grid with no axes) and returns its --binary-out bytes.
+std::string RunCampaignBinary(SweepOptions options, unsigned jobs) {
+  options.jobs = jobs;
+  return RunBinary(options);
+}
+
+// The campaign's single group.
+BinaryGroup CampaignGroup(const std::string& bin) {
+  BinaryResultsFile file = ParseBinaryResults(bin);
+  EXPECT_EQ(file.groups.size(), 1u);
+  return std::move(file.groups.front());
 }
 
 TEST(Campaign, ResultsIndependentOfJobs) {
@@ -294,27 +297,18 @@ TEST(Campaign, ResultsIndependentOfJobs) {
   options.base_seed = 99;
   options.replications = 64;
 
-  std::vector<ReplicationRecord> serial_records, parallel_records;
-  options.jobs = 1;
-  const std::vector<MetricAggregate> serial = RunRecorded(options, &serial_records);
-  options.jobs = 8;
-  const std::vector<MetricAggregate> parallel = RunRecorded(options, &parallel_records);
+  const std::string serial = RunCampaignBinary(options, 1);
+  EXPECT_EQ(RunCampaignBinary(options, 8), serial);
 
-  ASSERT_EQ(serial_records.size(), 64u);
-  ASSERT_EQ(serial_records.size(), parallel_records.size());
-  for (size_t i = 0; i < serial_records.size(); ++i) {
-    EXPECT_EQ(serial_records[i].metrics, parallel_records[i].metrics) << i;
+  const BinaryGroup group = CampaignGroup(serial);
+  const std::vector<double> replication = ScalarColumn(group, "replication");
+  const std::vector<double> seed_mod = ScalarColumn(group, "seed_mod");
+  ASSERT_EQ(replication.size(), 64u);
+  for (size_t i = 0; i < replication.size(); ++i) {
     // Replication i really ran as replication i, on any thread.
-    EXPECT_DOUBLE_EQ(serial_records[i].metrics.at("replication"), static_cast<double>(i));
+    EXPECT_DOUBLE_EQ(replication[i], static_cast<double>(i));
     // A campaign is the zero-axis sweep: its point seed is the base seed.
-    EXPECT_DOUBLE_EQ(serial_records[i].metrics.at("seed_mod"),
-                     static_cast<double>(SubstreamSeed(99, "seed_echo", i) % 1000003));
-  }
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].metric, parallel[i].metric);
-    EXPECT_DOUBLE_EQ(serial[i].mean, parallel[i].mean);
-    EXPECT_DOUBLE_EQ(serial[i].stddev, parallel[i].stddev);
+    EXPECT_DOUBLE_EQ(seed_mod[i], static_cast<double>(SubstreamSeed(99, "seed_echo", i) % 1000003));
   }
 }
 
@@ -325,18 +319,9 @@ TEST(Campaign, RealScenarioDeterministicAcrossJobs) {
   options.replications = 4;
   options.base_params.Set("sim_time_s", "0.5");
 
-  std::vector<ReplicationRecord> serial_records, parallel_records;
-  options.jobs = 1;
-  const std::vector<MetricAggregate> serial = RunRecorded(options, &serial_records);
-  options.jobs = 4;
-  const std::vector<MetricAggregate> parallel = RunRecorded(options, &parallel_records);
-
-  ASSERT_EQ(serial_records.size(), 4u);
-  for (size_t i = 0; i < serial_records.size(); ++i) {
-    EXPECT_EQ(serial_records[i].metrics, parallel_records[i].metrics) << i;
-  }
-  // Byte-identical serialized aggregates, the CLI-level guarantee.
-  EXPECT_EQ(SweepLongCsvRows({}, serial), SweepLongCsvRows({}, parallel));
+  const std::string serial = RunCampaignBinary(options, 1);
+  EXPECT_EQ(RunCampaignBinary(options, 4), serial);
+  EXPECT_EQ(CampaignGroup(serial).header.n_rows, 4u);
 }
 
 TEST(Campaign, DifferentSeedsAcrossReplications) {
@@ -345,14 +330,10 @@ TEST(Campaign, DifferentSeedsAcrossReplications) {
   options.scenario = "seed_echo";
   options.base_seed = 5;
   options.replications = 32;
-  options.jobs = 4;
-  std::vector<ReplicationRecord> records;
-  RunRecorded(options, &records);
-  std::set<double> seen;
-  for (const ReplicationRecord& r : records) {
-    seen.insert(r.metrics.at("seed_mod"));
-  }
-  EXPECT_EQ(seen.size(), records.size());
+  const std::vector<double> seed_mod =
+      ScalarColumn(CampaignGroup(RunCampaignBinary(options, 4)), "seed_mod");
+  const std::set<double> seen(seed_mod.begin(), seed_mod.end());
+  EXPECT_EQ(seen.size(), 32u);
 }
 
 TEST(Campaign, ScenarioExceptionsPropagate) {

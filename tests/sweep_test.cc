@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -13,10 +14,12 @@
 #include <vector>
 
 #include "core/random.h"
-#include "runner/result_consumer.h"
+#include "results/binary_reader.h"
+#include "results/binary_writer.h"
 #include "runner/result_sink.h"
 #include "runner/scenario_registry.h"
 #include "runner/sweep.h"
+#include "tests/run_support.h"
 
 namespace wlansim {
 namespace {
@@ -102,6 +105,19 @@ TEST(SweepGrid, DuplicateKeyRejected) {
   EXPECT_THROW(grid.AddAxis(ParseSweepAxis("a=3,4")), std::invalid_argument);
 }
 
+TEST(SweepGrid, PointCountOverflowRejected) {
+  // Four 2^16-value axes make 2^64 points, which wraps size_t to 0: the
+  // fourth axis is refused instead of yielding an empty grid.
+  SweepGrid grid;
+  for (const char* key : {"a", "b", "c"}) {
+    grid.AddAxis(ParseSweepAxis(std::string(key) + "=1:65536:1"));
+  }
+  EXPECT_EQ(grid.NumPoints(), size_t{1} << 48);
+  EXPECT_THROW(grid.AddAxis(ParseSweepAxis("d=1:65536:1")), std::invalid_argument);
+  EXPECT_EQ(grid.axes().size(), 3u);
+  EXPECT_EQ(grid.NumPoints(), size_t{1} << 48);
+}
+
 // --- ShardRange ----------------------------------------------------------------
 
 TEST(ShardRange, DisjointExhaustiveStable) {
@@ -140,6 +156,16 @@ TEST(ShardRange, MoreShardsThanPointsLeavesSomeEmpty) {
   EXPECT_EQ(covered, 3u);
 }
 
+TEST(ShardRange, HugeGridsSplitWithoutOverflow) {
+  // total * index exceeds size_t here; the bounds must still be exact.
+  const size_t total = std::numeric_limits<size_t>::max();  // divisible by 3
+  EXPECT_EQ(ShardRange(total, 0, 3), std::make_pair(size_t{0}, total / 3));
+  EXPECT_EQ(ShardRange(total, 1, 3), std::make_pair(total / 3, total / 3 * 2));
+  EXPECT_EQ(ShardRange(total, 2, 3), std::make_pair(total / 3 * 2, total));
+  const unsigned count = std::numeric_limits<unsigned>::max();
+  EXPECT_EQ(ShardRange(total, count - 1, count).second, total);
+}
+
 TEST(ShardRange, InvalidSpecRejected) {
   EXPECT_THROW(ShardRange(10, 0, 0), std::invalid_argument);
   EXPECT_THROW(ShardRange(10, 2, 2), std::invalid_argument);
@@ -165,13 +191,14 @@ TEST(CsvEscaping, MetricNamesEscapedInWriters) {
   const std::string agg_csv =
       SweepLongCsv({}, {SweepRow{{}, {AggregateScalarSamples("throughput, up", {1.0})}}});
   EXPECT_NE(agg_csv.find("\"throughput, up\",1,1"), std::string::npos) << agg_csv;
-  std::ostringstream reps_csv;
-  StreamingCsvWriter writer(reps_csv);
+  GroupEncoder encoder(0, 1, {}, 1);
   ReplicationRecord rep;
   rep.metrics["throughput, up"] = 1.0;
   rep.metrics["plain"] = 2.0;
-  writer.OnRecord(rep);
-  EXPECT_NE(reps_csv.str().find("\"throughput, up\""), std::string::npos) << reps_csv.str();
+  encoder.Add(rep);
+  std::ostringstream reps_csv;
+  WriteReplicationCsv(encoder.Finish(), reps_csv);
+  EXPECT_EQ(reps_csv.str(), "replication,plain,\"throughput, up\"\n0,2,1\n");
 }
 
 TEST(CsvEscaping, SweepLongCsvEscapesKeysAndValues) {
@@ -298,28 +325,30 @@ TEST(SweepCampaign, ZeroAxisGridIsTheCampaign) {
   EXPECT_EQ(SweepPointSeed(5, {}), 5u);
   SweepOptions options = ProbeOptions(4, 0, 1);
   options.grid = SweepGrid();
-  InMemoryConsumer memory;
-  options.consumers.push_back(&memory);
-  const SweepResult result = RunSweepCampaign(options);
+  SweepResult result;
+  const BinaryResultsFile file = ParseBinaryResults(RunBinary(options, &result));
   ASSERT_EQ(result.points.size(), 1u);
   EXPECT_TRUE(result.param_keys.empty());
   EXPECT_TRUE(result.points[0].point.empty());
-  ASSERT_EQ(memory.records().size(), 4u);
+  ASSERT_EQ(file.groups.size(), 1u);
+  const std::vector<double> seed_mod = ScalarColumn(file.groups[0], "seed_mod");
+  ASSERT_EQ(seed_mod.size(), 4u);
   for (uint64_t i = 0; i < 4; ++i) {
-    EXPECT_DOUBLE_EQ(memory.records()[i].metrics.at("seed_mod"),
+    EXPECT_DOUBLE_EQ(seed_mod[i],
                      static_cast<double>(SubstreamSeed(99, "sweep_probe_test", i) % 1000003));
   }
   // Its long CSV is the campaign aggregate table: no parameter columns.
   EXPECT_EQ(SweepResultToCsv(result).substr(0, 7), "metric,");
 }
 
-TEST(SweepCampaign, RecordConsumersNeedAZeroAxisGrid) {
-  // Points run concurrently, so one record consumer cannot serve several.
-  InMemoryConsumer memory;
+TEST(SweepCampaign, RepsCsvWriterNeedsAZeroAxisGrid) {
+  // The per-replication CSV has one header for one point's rows.
+  std::ostringstream rows;
+  ReplicationCsvWriter writer(rows);
   SweepOptions options = ProbeOptions(2, 0, 1);
-  options.consumers.push_back(&memory);
+  options.point_sinks.push_back(&writer);
   EXPECT_THROW(RunSweepCampaign(options), std::invalid_argument);
-  EXPECT_TRUE(memory.records().empty());
+  EXPECT_TRUE(rows.str().empty());
 }
 
 TEST(SweepCampaign, ZeroReplicationsRejected) {

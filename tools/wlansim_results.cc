@@ -17,6 +17,7 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -85,17 +86,20 @@ bool SplitOutFlag(std::vector<std::string>& args, std::string* out_path) {
   return true;
 }
 
-int WriteOutput(const std::string& content, const std::string& out_path) {
+// Runs `write` on --out's file, or on stdout when no path was given.
+int WriteOutput(const std::string& out_path, const std::function<void(std::ostream&)>& write) {
   if (out_path.empty()) {
-    std::fwrite(content.data(), 1, content.size(), stdout);
-    return 0;
+    write(std::cout);
+    std::cout.flush();
+    return std::cout ? 0 : 1;
   }
   std::ofstream out(out_path, std::ios::binary);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
-  out << content;
+  write(out);
+  out.flush();
   return out ? 0 : 1;
 }
 
@@ -151,7 +155,8 @@ int Main(int argc, char** argv) {
         std::fprintf(stderr, "export takes exactly one file (plus optional --out=F)\n");
         return 1;
       }
-      return WriteOutput(ExportBinaryCsv(ReadBinaryResultsFile(args[0])), out_path);
+      const BinaryResultsFile file = ReadBinaryResultsFile(args[0]);
+      return WriteOutput(out_path, [&](std::ostream& out) { ExportBinaryCsv(file, out); });
     }
     if (command == "aggregate") {
       std::string out_path;
@@ -167,7 +172,8 @@ int Main(int argc, char** argv) {
       for (const std::string& path : args) {
         files.push_back(ReadBinaryResultsFile(path));
       }
-      return WriteOutput(AggregateBinary(files), out_path);
+      const std::string csv = AggregateBinary(files);
+      return WriteOutput(out_path, [&](std::ostream& out) { out << csv; });
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
