@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Golden-byte corpus check: regenerates the canonical scenario output set
-# (tools/scenario_outputs.sh: every scenario's campaign CSV, per-replication
-# CSV, JSON and WLSR file, plus a two-point sweep's CSV and WLSR file) and
-# compares every file against the committed sha256 manifest. Any change to a
-# default-mode output byte fails; an intended change regenerates the
-# manifest in the same commit:
+# (tools/scenario_outputs.sh: every scenario's campaign stdout table, CSV,
+# per-replication CSV, JSON and WLSR file, plus a two-point sweep's stdout
+# table, CSV and WLSR file) and compares every file against the committed
+# sha256 manifest. Any change to a default-mode output byte fails; an
+# intended change regenerates the manifest in the same commit:
 #
 #   tools/scenario_outputs.sh build/src/wlansim_run /tmp/corpus
 #   (cd /tmp/corpus && LC_ALL=C sha256sum $(LC_ALL=C ls)) > tests/golden/scenario_outputs.sha256

@@ -2,10 +2,10 @@
 # Produces the canonical scenario output set behind the golden-byte corpus
 # ctest (tests/golden_corpus.sh, manifest tests/golden/scenario_outputs.sha256):
 # for every scenario named on the command line (or every registered scenario
-# when none is), one short campaign (aggregate CSV, per-replication CSV,
-# aggregate JSON, WLSR file) and one two-point sweep (long CSV, WLSR file),
-# with fixed seeds and shortened simulated time so the whole matrix runs in
-# a few seconds.
+# when none is), one short campaign (stdout table, aggregate CSV,
+# per-replication CSV, aggregate JSON, WLSR file) and one two-point sweep
+# (stdout table, long CSV, WLSR file), with fixed seeds and shortened
+# simulated time so the whole matrix runs in a few seconds.
 #
 # Usage: scenario_outputs.sh <wlansim_run binary> <output dir> [scenario...]
 #
@@ -61,14 +61,15 @@ sweep_axis() {
 for s in $scenarios; do
   extra=$(short_params "$s")
   # shellcheck disable=SC2086
-  "$BIN" --scenario="$s" $extra --reps=2 --seed=5 --quiet \
+  "$BIN" --scenario="$s" $extra --reps=2 --seed=5 \
     --csv="$OUT/$s-campaign.csv" --reps-csv="$OUT/$s-reps.csv" \
-    --json="$OUT/$s-campaign.json" --binary-out="$OUT/$s-campaign.wlsr"
+    --json="$OUT/$s-campaign.json" --binary-out="$OUT/$s-campaign.wlsr" \
+    > "$OUT/$s-campaign.txt"
   axis=$(sweep_axis "$s")
   if [ -n "$axis" ]; then
     # shellcheck disable=SC2086
     "$BIN" --scenario="$s" $extra --sweep "$axis" --reps=2 --seed=5 --jobs=0 \
-      --quiet --csv="$OUT/$s-sweep.csv" --binary-out="$OUT/$s-sweep.wlsr"
+      --csv="$OUT/$s-sweep.csv" --binary-out="$OUT/$s-sweep.wlsr" > "$OUT/$s-sweep.txt"
   fi
 done
 
