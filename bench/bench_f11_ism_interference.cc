@@ -34,21 +34,21 @@ int Run(int argc, char** argv) {
   options.jobs = args.jobs;
   options.grid.AddAxis(ParseSweepAxis("standard=11b,11a"));
   options.grid.AddAxis(ParseSweepAxis("oven_distance=0,3,10,30,100"));
-  const SweepResult result = RunSweepCampaign(options);
-  if (!args.csv.empty() && !WriteSweepCsv(args.csv, result)) {
+  AggregateCollector result;
+  if (!RunBenchSweep(options, args, "", &result)) {
     return 1;
   }
 
   // Clean baseline per standard: the oven_distance=0 grid point.
   std::map<std::string, double> clean;
-  for (const SweepPointResult& point : result.points) {
+  for (const AggregateCollector::Point& point : result.points()) {
     if (PointValue(point, "oven_distance") == "0") {
       clean[PointValue(point, "standard")] = MetricMean(point, "goodput_mbps");
     }
   }
 
   Table table({"standard", "oven_distance_m", "goodput_mbps", "retry_rate_%", "vs_clean_%"});
-  for (const SweepPointResult& point : result.points) {
+  for (const AggregateCollector::Point& point : result.points()) {
     const std::string standard = PointValue(point, "standard");
     const std::string distance = PointValue(point, "oven_distance");
     const double goodput = MetricMean(point, "goodput_mbps");

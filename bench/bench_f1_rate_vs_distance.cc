@@ -23,8 +23,8 @@ namespace {
 
 const char* kDistances = "distance=10,30,60,90,120,160,200,250";
 
-SweepResult RunFigureSweep(const SweepBenchArgs& args, const std::string& standard,
-                           bool fixed_rates) {
+SweepOptions FigureSweep(const SweepBenchArgs& args, const std::string& standard,
+                         bool fixed_rates) {
   SweepOptions options;
   options.scenario = "rate_vs_distance";
   options.base_params.Set("standard", standard);
@@ -40,7 +40,7 @@ SweepResult RunFigureSweep(const SweepBenchArgs& args, const std::string& standa
   } else {
     options.base_params.Set("controller", "arf");
   }
-  return RunSweepCampaign(options);
+  return options;
 }
 
 int Run(int argc, char** argv) {
@@ -51,18 +51,19 @@ int Run(int argc, char** argv) {
 
   Table table({"standard", "distance_m", "best_fixed", "best_fixed_mbps", "arf_mbps"});
   for (const std::string standard : {"11b", "11a"}) {
-    const SweepResult fixed = RunFigureSweep(args, standard, /*fixed_rates=*/true);
-    const SweepResult arf = RunFigureSweep(args, standard, /*fixed_rates=*/false);
-    if (!args.csv.empty() &&
-        (!WriteSweepCsv(args.csv + "." + standard + ".fixed.csv", fixed) ||
-         !WriteSweepCsv(args.csv + "." + standard + ".arf.csv", arf))) {
+    AggregateCollector fixed;
+    AggregateCollector arf;
+    if (!RunBenchSweep(FigureSweep(args, standard, /*fixed_rates=*/true), args,
+                       "." + standard + ".fixed.csv", &fixed) ||
+        !RunBenchSweep(FigureSweep(args, standard, /*fixed_rates=*/false), args,
+                       "." + standard + ".arf.csv", &arf)) {
       return 1;
     }
 
     // Oracle envelope: per distance, the fixed rate with the best mean goodput.
     const auto modes = ModesFor(standard == "11a" ? PhyStandard::k80211a : PhyStandard::k80211b);
     std::map<std::string, std::pair<double, std::string>> best;  // distance -> (mbps, mode)
-    for (const SweepPointResult& point : fixed.points) {
+    for (const AggregateCollector::Point& point : fixed.points()) {
       const double mbps = MetricMean(point, "goodput_mbps");
       const size_t rate_index = std::stoul(PointValue(point, "rate_index"));
       auto& slot = best[PointValue(point, "distance")];
@@ -70,7 +71,7 @@ int Run(int argc, char** argv) {
         slot = {mbps, mbps > 0 ? modes[rate_index].name : "none"};
       }
     }
-    for (const SweepPointResult& point : arf.points) {
+    for (const AggregateCollector::Point& point : arf.points()) {
       const std::string distance = PointValue(point, "distance");
       table.AddRow({standard, distance, best[distance].second,
                     Table::Num(best[distance].first, 2),

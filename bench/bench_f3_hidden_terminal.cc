@@ -31,13 +31,13 @@ int Run(int argc, char** argv) {
   options.jobs = args.jobs;
   options.grid.AddAxis(ParseSweepAxis("hidden=false,true"));
   options.grid.AddAxis(ParseSweepAxis("rtscts=false,true"));
-  const SweepResult result = RunSweepCampaign(options);
-  if (!args.csv.empty() && !WriteSweepCsv(args.csv, result)) {
+  AggregateCollector result;
+  if (!RunBenchSweep(options, args, "", &result)) {
     return 1;
   }
 
   Table table({"topology", "access", "agg_goodput_mbps", "retry_rate_%", "drop_rate_%"});
-  for (const SweepPointResult& point : result.points) {
+  for (const AggregateCollector::Point& point : result.points()) {
     const bool hidden = PointValue(point, "hidden") == "true";
     const bool rtscts = PointValue(point, "rtscts") == "true";
     table.AddRow({hidden ? "hidden" : "cs-range", rtscts ? "rts/cts" : "basic",

@@ -29,13 +29,13 @@ int Run(int argc, char** argv) {
   options.jobs = args.jobs;
   options.grid.AddAxis(ParseSweepAxis("with_b_sta=false,true"));
   options.grid.AddAxis(ParseSweepAxis("protection=false,true"));
-  const SweepResult result = RunSweepCampaign(options);
-  if (!args.csv.empty() && !WriteSweepCsv(args.csv, result)) {
+  AggregateCollector result;
+  if (!RunBenchSweep(options, args, "", &result)) {
     return 1;
   }
 
   Table table({"scenario", "g_sta_goodput_mbps", "b_sta_goodput_mbps", "agg_mbps"});
-  for (const SweepPointResult& point : result.points) {
+  for (const AggregateCollector::Point& point : result.points()) {
     const bool with_b = PointValue(point, "with_b_sta") == "true";
     const bool protection = PointValue(point, "protection") == "true";
     const std::string label = !with_b ? (protection ? "pure-g, cts-to-self" : "pure-g (short slot)")

@@ -48,20 +48,21 @@ int Run(int argc, char** argv) {
   const size_t n_modes = ModesFor(PhyStandard::k80211a).size();
   fixed_options.grid.AddAxis(
       ParseSweepAxis("rate_index=0:" + std::to_string(n_modes - 1) + ":1"));
-  const SweepResult fixed = RunSweepCampaign(fixed_options);
+  AggregateCollector fixed;
+  if (!RunBenchSweep(fixed_options, args, ".fixed.csv", &fixed)) {
+    return 1;
+  }
 
   SweepOptions adaptive_options = BaseOptions(args);
   adaptive_options.grid.AddAxis(ParseSweepAxis("controller=arf,aarf,onoe,samplerate,minstrel"));
-  const SweepResult adaptive = RunSweepCampaign(adaptive_options);
-
-  if (!args.csv.empty() && (!WriteSweepCsv(args.csv + ".fixed.csv", fixed) ||
-                            !WriteSweepCsv(args.csv + ".adaptive.csv", adaptive))) {
+  AggregateCollector adaptive;
+  if (!RunBenchSweep(adaptive_options, args, ".adaptive.csv", &adaptive)) {
     return 1;
   }
 
   // Oracle envelope: per distance, the fixed rate with the best mean goodput.
   std::map<double, double> oracle;  // distance -> mbps, numerically ordered
-  for (const SweepPointResult& point : fixed.points) {
+  for (const AggregateCollector::Point& point : fixed.points()) {
     const double mbps = MetricMean(point, "goodput_mbps");
     auto [it, inserted] = oracle.try_emplace(std::stod(PointValue(point, "distance")), mbps);
     if (!inserted && mbps > it->second) {
@@ -73,7 +74,7 @@ int Run(int argc, char** argv) {
   for (const auto& [distance, mbps] : oracle) {
     table.AddRow({"oracle-fixed", Table::Num(distance, 0), Table::Num(mbps, 2), "-", "100.0"});
   }
-  for (const SweepPointResult& point : adaptive.points) {
+  for (const AggregateCollector::Point& point : adaptive.points()) {
     const std::string distance = PointValue(point, "distance");
     const double mbps = MetricMean(point, "goodput_mbps");
     const double attempts = MetricMean(point, "tx_attempts");

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -84,8 +85,39 @@ inline SweepBenchArgs ParseSweepBenchArgs(int argc, char** argv, const char* ben
   return args;
 }
 
+// Runs one figure sweep into `collected`. With args.csv set, the
+// long-format CSV is streamed to args.csv + csv_suffix by
+// StreamingSweepCsvWriter, the writer behind wlansim_run --csv. False, after
+// complaining, when the CSV cannot be written or the run fails.
+inline bool RunBenchSweep(SweepOptions options, const SweepBenchArgs& args,
+                          const std::string& csv_suffix, AggregateCollector* collected) {
+  options.point_sinks.push_back(collected);
+  const std::string path = args.csv.empty() ? std::string() : args.csv + csv_suffix;
+  std::ofstream out;
+  std::unique_ptr<StreamingSweepCsvWriter> csv;
+  if (!path.empty()) {
+    out.open(path, std::ios::binary);
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      return false;
+    }
+    csv = std::make_unique<StreamingSweepCsvWriter>(out);
+    options.point_sinks.push_back(csv.get());
+  }
+  try {
+    RunSweepCampaign(options);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return false;
+  }
+  if (!path.empty()) {
+    std::printf("wrote %s\n", path.c_str());
+  }
+  return true;
+}
+
 // Mean of one metric at a grid point; 0 when the metric is absent.
-inline double MetricMean(const SweepPointResult& point, const std::string& metric) {
+inline double MetricMean(const AggregateCollector::Point& point, const std::string& metric) {
   for (const MetricAggregate& a : point.aggregates) {
     if (a.metric == metric) {
       return a.mean;
@@ -95,24 +127,13 @@ inline double MetricMean(const SweepPointResult& point, const std::string& metri
 }
 
 // The value a grid point assigned to a swept key ("" when not swept).
-inline std::string PointValue(const SweepPointResult& point, const std::string& key) {
-  for (const auto& [k, v] : point.point) {
+inline std::string PointValue(const AggregateCollector::Point& point, const std::string& key) {
+  for (const auto& [k, v] : point.info.point) {
     if (k == key) {
       return v;
     }
   }
   return std::string();
-}
-
-inline bool WriteSweepCsv(const std::string& path, const SweepResult& result) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << SweepResultToCsv(result);
-  std::printf("wrote %s\n", path.c_str());
-  return true;
 }
 
 }  // namespace wlansim

@@ -109,8 +109,8 @@ class PerfHarness {
         samples["items_per_sec"].push_back(static_cast<double>(items) / secs);
       }
     }
-    SweepRow row;
-    row.param_values = {name};
+    Row row;
+    row.name = name;
     for (const auto& [metric, values] : samples) {
       row.aggregates.push_back(AggregateScalarSamples(metric, values));
     }
@@ -123,7 +123,7 @@ class PerfHarness {
     std::printf("=== %s (%llu rep(s)/bench) ===\n", title_.c_str(),
                 static_cast<unsigned long long>(args_.reps));
     Table table({"bench", "items/s", "ns/item", "p50_ns", "p95_ns", "wall_ms"});
-    for (const SweepRow& row : rows_) {
+    for (const Row& row : rows_) {
       const MetricAggregate* per_item = nullptr;
       const MetricAggregate* per_sec = nullptr;
       const MetricAggregate* wall = nullptr;
@@ -136,7 +136,7 @@ class PerfHarness {
           wall = &a;
         }
       }
-      table.AddRow({row.param_values[0],
+      table.AddRow({row.name,
                     per_sec != nullptr ? Table::Num(per_sec->mean, 0) : "-",
                     per_item != nullptr ? Table::Num(per_item->mean, 1) : "-",
                     per_item != nullptr ? Table::Num(per_item->p50, 1) : "-",
@@ -150,16 +150,25 @@ class PerfHarness {
         std::fprintf(stderr, "cannot write %s\n", args_.csv.c_str());
         return 1;
       }
-      out << SweepLongCsv({"bench"}, rows_);
+      out << SweepLongCsvHeader({"bench"});
+      for (const Row& row : rows_) {
+        out << SweepLongCsvRows({row.name}, row.aggregates);
+      }
       std::printf("wrote %s\n", args_.csv.c_str());
     }
     return 0;
   }
 
  private:
+  // One bench's aggregates, a row block of the long-format CSV.
+  struct Row {
+    std::string name;
+    std::vector<MetricAggregate> aggregates;
+  };
+
   std::string title_;
   PerfArgs args_;
-  std::vector<SweepRow> rows_;
+  std::vector<Row> rows_;
 };
 
 }  // namespace wlansim

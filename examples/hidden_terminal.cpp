@@ -24,7 +24,10 @@ std::vector<MetricAggregate> RunAccess(bool rtscts) {
   options.base_seed = 99;
   options.replications = 5;
   options.jobs = 0;  // all hardware threads
-  return RunSweepCampaign(options).points.front().aggregates;
+  AggregateCollector collected;
+  options.point_sinks.push_back(&collected);
+  RunSweepCampaign(options);
+  return collected.points().front().aggregates;
 }
 
 double Mean(const std::vector<MetricAggregate>& aggregates, const std::string& metric) {

@@ -106,16 +106,18 @@ int main() {
   options.base_seed = 7;
   options.replications = 5;
   options.jobs = 0;  // all hardware threads
+  AggregateCollector collected;
+  options.point_sinks.push_back(&collected);
 
-  const SweepResult result = RunSweepCampaign(options);
+  RunSweepCampaign(options);
 
   Table table({"metric", "mean", "ci95_half", "min", "max"});
-  for (const MetricAggregate& a : result.points.front().aggregates) {
+  for (const MetricAggregate& a : collected.points().front().aggregates) {
     table.AddRow({a.metric, Table::Num(a.mean, 3), Table::Num(a.ci95_half, 3),
                   Table::Num(a.min, 3), Table::Num(a.max, 3)});
   }
   std::fputs(table.ToString().c_str(), stdout);
   std::printf("\n%llu replications; printer associated as 802.11b legacy device\n",
-              static_cast<unsigned long long>(result.replications));
+              static_cast<unsigned long long>(options.replications));
   return 0;
 }

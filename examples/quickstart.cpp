@@ -49,10 +49,13 @@ int main() {
   options.base_params.Set("distance", "20");
   options.replications = 4;
   options.jobs = 0;  // all hardware threads
-  const SweepResult campaign = RunSweepCampaign(options);
+  // Every output of a run is a point sink; this one keeps the aggregates.
+  AggregateCollector collected;
+  options.point_sinks.push_back(&collected);
+  RunSweepCampaign(options);
   std::printf("campaign: %llu replications of '%s'\n",
-              static_cast<unsigned long long>(campaign.replications), campaign.scenario.c_str());
-  for (const MetricAggregate& a : campaign.points.front().aggregates) {
+              static_cast<unsigned long long>(options.replications), options.scenario.c_str());
+  for (const MetricAggregate& a : collected.points().front().aggregates) {
     std::printf("  %-14s %.3f ± %.3f\n", a.metric.c_str(), a.mean, a.ci95_half);
   }
   return 0;

@@ -116,11 +116,13 @@ int main() {
   options.base_seed = 42;
   options.replications = 5;
   options.jobs = 0;  // all hardware threads
+  AggregateCollector collected;
+  options.point_sinks.push_back(&collected);
 
-  const SweepResult result = RunSweepCampaign(options);
+  RunSweepCampaign(options);
 
   Table table({"metric", "mean", "ci95_half", "min", "max"});
-  for (const MetricAggregate& a : result.points.front().aggregates) {
+  for (const MetricAggregate& a : collected.points().front().aggregates) {
     table.AddRow({a.metric, Table::Num(a.mean, 3), Table::Num(a.ci95_half, 3),
                   Table::Num(a.min, 3), Table::Num(a.max, 3)});
   }
@@ -128,6 +130,6 @@ int main() {
   std::printf(
       "\n%llu replications. The sensor dozes between beacons (sleep %% above)\n"
       "while the always-on handset burns several times the radio energy.\n",
-      static_cast<unsigned long long>(result.replications));
+      static_cast<unsigned long long>(options.replications));
   return 0;
 }

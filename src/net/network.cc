@@ -6,11 +6,6 @@ namespace wlansim {
 
 Network::Network(Params params) : rng_(params.seed) {}
 
-void Network::UseFreeSpaceLoss() {
-  assert(channel_ == nullptr && "configure the loss model before adding nodes");
-  pending_loss_ = std::make_unique<FreeSpaceLossModel>();
-}
-
 void Network::UseLogDistanceLoss(double exponent, double shadowing_sigma_db) {
   assert(channel_ == nullptr && "configure the loss model before adding nodes");
   pending_loss_ = std::make_unique<LogDistanceLossModel>(exponent, shadowing_sigma_db,
@@ -28,11 +23,6 @@ MatrixLossModel* Network::UseMatrixLoss(double default_loss_db) {
 void Network::UseRayleighFading() {
   assert(channel_ == nullptr && "configure fading before adding nodes");
   pending_fading_ = std::make_unique<RayleighFading>();
-}
-
-void Network::UseNakagamiFading(double m) {
-  assert(channel_ == nullptr && "configure fading before adding nodes");
-  pending_fading_ = std::make_unique<NakagamiFading>(m);
 }
 
 void Network::SetRxCutoffDbm(double dbm) {

@@ -37,12 +37,10 @@ class Network {
   explicit Network(Params params);
 
   // Channel configuration — call one loss-model setter before AddNode.
-  void UseFreeSpaceLoss();
   void UseLogDistanceLoss(double exponent, double shadowing_sigma_db = 0.0);
   // Returns the matrix for explicit per-link loss topologies.
   MatrixLossModel* UseMatrixLoss(double default_loss_db = 200.0);
   void UseRayleighFading();
-  void UseNakagamiFading(double m);
 
   // Channel reception cutoff and spatial receiver index (see Channel).
   // These create the channel on demand, so pick the loss/fading models

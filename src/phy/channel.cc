@@ -60,7 +60,7 @@ struct Channel::DeliveryClosure {
 
   void operator()() {
     // Each receiver gets its own Packet instance viewing the shared buffer
-    // (refcount bump, no byte copy); uid and meta ride along unchanged.
+    // (refcount bump, no byte copy); its meta rides along unchanged.
     rx->Deliver(rec->packet, rec->signal, rx_dbm);
   }
 };

@@ -21,6 +21,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -118,16 +119,6 @@ void PrintHotPathStats() {
                   HotPathStats::event_heap_fallbacks.load(std::memory_order_relaxed)));
 }
 
-bool WriteFileOrComplain(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << content;
-  return true;
-}
-
 // Parses "I/N" into (index, count); false on anything else.
 bool ParseShard(const std::string& spec, unsigned* index, unsigned* count) {
   const size_t slash = spec.find('/');
@@ -165,9 +156,51 @@ bool OpenOutput(const std::string& path, std::ofstream* out) {
   return true;
 }
 
+// The stdout table: a banner naming the run, then one row per grid point
+// and metric, read from the collected aggregates.
+void PrintAggregateTable(const SweepOptions& options, const AggregateCollector& collected) {
+  if (options.grid.empty()) {
+    std::printf("=== %s: %llu replication(s), base seed %llu ===\n", options.scenario.c_str(),
+                static_cast<unsigned long long>(options.replications),
+                static_cast<unsigned long long>(options.base_seed));
+  } else {
+    std::printf(
+        "=== %s sweep: %zu/%zu grid point(s) [shard %u/%u], %llu replication(s)/point, "
+        "base seed %llu ===\n",
+        options.scenario.c_str(), collected.points().size(), options.grid.NumPoints(),
+        options.shard_index, options.shard_count,
+        static_cast<unsigned long long>(options.replications),
+        static_cast<unsigned long long>(options.base_seed));
+  }
+  std::vector<std::string> header = options.grid.Keys();
+  for (const char* col :
+       {"metric", "count", "mean", "stddev", "ci95_half", "min", "max", "p50", "p95"}) {
+    header.emplace_back(col);
+  }
+  Table table(header);
+  for (const AggregateCollector::Point& point : collected.points()) {
+    for (const MetricAggregate& a : point.aggregates) {
+      std::vector<std::string> row;
+      for (const auto& [key, value] : point.info.point) {
+        row.push_back(value);
+      }
+      row.push_back(a.metric);
+      row.push_back(std::to_string(a.count));
+      for (double v : {a.mean, a.stddev, a.ci95_half, a.min, a.max, a.p50, a.p95}) {
+        row.push_back(Table::Num(v, 4));
+      }
+      table.AddRow(row);
+    }
+  }
+  std::fputs(table.ToString().c_str(), stdout);
+}
+
 // Runs the campaign (zero axes) or sweep and writes every requested output.
-// --csv, --reps-csv and --binary-out are point sinks, written as each grid
-// point finishes; the stdout table and --json read the retained aggregates.
+// Every output comes from a point sink: --csv, --reps-csv and --binary-out
+// are written as each grid point finishes, and the stdout table and --json
+// read an AggregateCollector, attached only when one of them is wanted — a
+// --quiet run without --json holds nothing beyond its in-flight points. A
+// failed write of any output is an error.
 int Run(SweepOptions& options, const std::string& csv_path, const std::string& json_path,
         const std::string& reps_csv_path, const std::string& binary_out_path, bool quiet,
         bool verbose) {
@@ -198,62 +231,38 @@ int Run(SweepOptions& options, const std::string& csv_path, const std::string& j
     reps_writer = std::make_unique<ReplicationCsvWriter>(reps_out);
     options.point_sinks.push_back(reps_writer.get());
   }
-  // Per-point aggregates only need buffering for the stdout table and the
-  // JSON file; a quiet run holds nothing beyond its in-flight points.
-  options.retain_points = !quiet || !json_path.empty();
+  std::ofstream json_out;
+  if (!json_path.empty() && !OpenOutput(json_path, &json_out)) {
+    return 1;
+  }
+  AggregateCollector collected;
+  if (!quiet || !json_path.empty()) {
+    options.point_sinks.push_back(&collected);
+  }
 
-  SweepResult result;
   try {
-    result = RunSweepCampaign(options);
+    RunSweepCampaign(options);
+    if (!quiet) {
+      PrintAggregateTable(options, collected);
+    }
+    if (!json_path.empty()) {
+      // --json is campaign-only: the run has exactly one point.
+      json_out << AggregatesToJson(options.scenario, options.replications,
+                                   collected.points().front().aggregates);
+      json_out.flush();
+      if (!json_out) {
+        throw std::runtime_error("JSON write failed");
+      }
+    }
+    if (verbose) {
+      PrintHotPathStats();
+    }
+    if (std::fflush(stdout) != 0 || std::ferror(stdout) != 0) {
+      throw std::runtime_error("stdout write failed");
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
-  }
-
-  if (!quiet) {
-    if (options.grid.empty()) {
-      std::printf("=== %s: %llu replication(s), base seed %llu ===\n", result.scenario.c_str(),
-                  static_cast<unsigned long long>(result.replications),
-                  static_cast<unsigned long long>(result.base_seed));
-    } else {
-      std::printf(
-          "=== %s sweep: %zu/%zu grid point(s) [shard %u/%u], %llu replication(s)/point, "
-          "base seed %llu ===\n",
-          result.scenario.c_str(), result.points.size(), options.grid.NumPoints(),
-          options.shard_index, options.shard_count,
-          static_cast<unsigned long long>(result.replications),
-          static_cast<unsigned long long>(result.base_seed));
-    }
-    std::vector<std::string> header = result.param_keys;
-    for (const char* col :
-         {"metric", "count", "mean", "stddev", "ci95_half", "min", "max", "p50", "p95"}) {
-      header.emplace_back(col);
-    }
-    Table table(header);
-    for (const SweepPointResult& point : result.points) {
-      for (const MetricAggregate& a : point.aggregates) {
-        std::vector<std::string> row;
-        for (const auto& [key, value] : point.point) {
-          row.push_back(value);
-        }
-        row.push_back(a.metric);
-        row.push_back(std::to_string(a.count));
-        for (double v : {a.mean, a.stddev, a.ci95_half, a.min, a.max, a.p50, a.p95}) {
-          row.push_back(Table::Num(v, 4));
-        }
-        table.AddRow(row);
-      }
-    }
-    std::fputs(table.ToString().c_str(), stdout);
-  }
-  if (!json_path.empty() &&
-      !WriteFileOrComplain(json_path,
-                           AggregatesToJson(result.scenario, result.replications,
-                                            result.points.front().aggregates))) {
-    return 1;
-  }
-  if (verbose) {
-    PrintHotPathStats();
   }
   return 0;
 }

@@ -1,7 +1,6 @@
 #include "runner/result_sink.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -135,16 +134,6 @@ std::string SweepLongCsvRows(const std::vector<std::string>& param_values,
     csv += prefix + CsvField(a.metric) + "," + std::to_string(a.count) + "," + Num(a.mean) + "," +
            Num(a.stddev) + "," + Num(a.ci95_half) + "," + Num(a.min) + "," + Num(a.max) + "," +
            Num(a.p50) + "," + Num(a.p95) + "\n";
-  }
-  return csv;
-}
-
-std::string SweepLongCsv(const std::vector<std::string>& param_keys,
-                         const std::vector<SweepRow>& rows) {
-  std::string csv = SweepLongCsvHeader(param_keys);
-  for (const SweepRow& row : rows) {
-    assert(row.param_values.size() == param_keys.size());
-    csv += SweepLongCsvRows(row.param_values, row.aggregates);
   }
   return csv;
 }

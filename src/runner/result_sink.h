@@ -53,23 +53,14 @@ std::string CsvField(const std::string& field);
 // writer uses, so identical campaigns produce byte-identical files.
 std::string CsvNum(double v);
 
-// One row of a long-format sweep CSV: the swept parameter values (parallel
-// to the key list handed to SweepLongCsv) plus that point's aggregates.
-struct SweepRow {
-  std::vector<std::string> param_values;
-  std::vector<MetricAggregate> aggregates;
-};
-
 // Long-format aggregate CSV: header `<param_keys...>,metric,count,mean,
-// stddev,ci95_half,min,max,p50,p95`, then one row per (grid point, metric).
-// Rows from a shard slice concatenate under a single header into exactly
-// the unsharded output. With no keys this is the campaign aggregate table.
-std::string SweepLongCsv(const std::vector<std::string>& param_keys,
-                         const std::vector<SweepRow>& rows);
-
-// The pieces SweepLongCsv is assembled from, shared with the streaming
-// writer, the binary-export path and the query server so their bytes
-// cannot drift: the header line, and one grid point's block of rows.
+// stddev,ci95_half,min,max,p50,p95`, then one block of rows per grid point,
+// one row per metric. Rows from a shard slice concatenate under a single
+// header into exactly the unsharded output. With no keys this is the
+// campaign aggregate table. Every aggregate CSV writer — the streaming
+// --csv writer, the binary-export path, the query server and the perf
+// harness — is assembled from these two pieces, so their bytes cannot
+// drift.
 std::string SweepLongCsvHeader(const std::vector<std::string>& param_keys);
 std::string SweepLongCsvRows(const std::vector<std::string>& param_values,
                              const std::vector<MetricAggregate>& aggregates);

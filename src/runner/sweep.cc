@@ -283,6 +283,22 @@ void ReplicationCsvWriter::EndSweep() {
   }
 }
 
+void AggregateCollector::BeginSweep(const SweepManifest& manifest) {
+  if (begun_) {
+    throw std::logic_error(
+        "AggregateCollector attached to a second run: one collector, one run");
+  }
+  begun_ = true;
+  points_.reserve(manifest.shard_points);
+}
+
+void AggregateCollector::OnPointDone(const SweepPointInfo& info,
+                                     const std::vector<MetricAggregate>& aggregates,
+                                     const BinaryGroup& group) {
+  (void)group;
+  points_.push_back({info, aggregates});
+}
+
 uint64_t SweepPointSeed(uint64_t base_seed,
                         const std::vector<std::pair<std::string, std::string>>& point) {
   // Key the substream by the sorted parameter assignment: the seed is a pure
@@ -310,7 +326,7 @@ uint64_t SweepPointSeed(uint64_t base_seed,
   return SubstreamSeed(base_seed, stream, 0);
 }
 
-SweepResult RunSweepCampaign(const SweepOptions& options) {
+void RunSweepCampaign(const SweepOptions& options) {
   for (const SweepAxis& axis : options.grid.axes()) {
     if (options.base_params.Has(axis.key)) {
       throw std::invalid_argument("parameter '" + axis.key +
@@ -341,12 +357,6 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
     scenario_ptr->ValidateParams(probe);
   }
 
-  SweepResult result;
-  result.scenario = options.scenario;
-  result.base_seed = options.base_seed;
-  result.replications = options.replications;
-  result.param_keys = options.grid.Keys();
-
   // One global (point, rep) work queue: with per-point parallelism alone,
   // reps < jobs leaves workers idle at every grid point; flattening the
   // whole shard's task space keeps the pool saturated. Replication seeds
@@ -356,15 +366,20 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
   const uint64_t reps = options.replications;
   const Scenario& scenario = *scenario_ptr;
 
-  // Each grid point reorders its records into its GroupEncoder. The worker
-  // that delivers a point's last replication finishes the group, folds it
-  // and frees the collector, so peak memory is one encoded group per
-  // in-flight point.
-  struct PointCollector {
-    PointCollector(const SweepPointInfo& info, std::vector<std::string> param_values,
-                   uint64_t reps)
-        : records(reps),
+  // Everything the engine holds for one grid point: its identity and
+  // parameters, and its records reordered into its GroupEncoder. The worker
+  // that delivers the point's last replication finishes the group, moves
+  // the identity out and frees the rest, so peak memory is one encoded
+  // group per in-flight point.
+  struct PointState {
+    PointState(SweepPointInfo point_info, ScenarioParams point_params,
+               std::vector<std::string> param_values, uint64_t reps)
+        : info(std::move(point_info)),
+          params(std::move(point_params)),
+          records(reps),
           encoder(info.point_index, info.point_seed, std::move(param_values), reps) {}
+    SweepPointInfo info;
+    ScenarioParams params;
     ReorderBuffer<ReplicationRecord> records;
     GroupEncoder encoder;
   };
@@ -374,41 +389,34 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
   sweep_manifest.scenario = options.scenario;
   sweep_manifest.base_seed = options.base_seed;
   sweep_manifest.replications = reps;
-  sweep_manifest.param_keys = result.param_keys;
+  sweep_manifest.param_keys = options.grid.Keys();
   sweep_manifest.shard_points = n_points;
   sweep_manifest.total_points = total;
   for (SweepPointSink* sink : options.point_sinks) {
     sink->BeginSweep(sweep_manifest);
   }
 
-  std::vector<SweepPointInfo> point_infos(n_points);
-  std::vector<ScenarioParams> point_params(n_points);
-  std::vector<std::unique_ptr<PointCollector>> collectors(n_points);
+  std::vector<std::unique_ptr<PointState>> points(n_points);
   for (size_t p = 0; p < n_points; ++p) {
-    SweepPointInfo& info = point_infos[p];
+    SweepPointInfo info;
     info.point_index = begin + p;
     info.point = options.grid.Point(begin + p);
-    point_params[p] = options.base_params;
+    info.point_seed = SweepPointSeed(options.base_seed, info.point);
+    ScenarioParams params = options.base_params;
     std::vector<std::string> param_values;
     param_values.reserve(info.point.size());
     for (const auto& [key, value] : info.point) {
-      point_params[p].Set(key, value);
+      params.Set(key, value);
       param_values.push_back(value);
     }
-    info.point_seed = SweepPointSeed(options.base_seed, info.point);
-    collectors[p] = std::make_unique<PointCollector>(info, std::move(param_values), reps);
-  }
-  if (options.retain_points) {
-    result.points.resize(n_points);
-    for (size_t p = 0; p < n_points; ++p) {
-      result.points[p].point_index = point_infos[p].point_index;
-      result.points[p].point = point_infos[p].point;
-    }
+    points[p] = std::make_unique<PointState>(std::move(info), std::move(params),
+                                             std::move(param_values), reps);
   }
 
-  // Points complete in worker order, but sinks see them in grid order.
+  // Points complete in worker order, but sinks see them in grid order. A
+  // point's last state dies when its sinks return.
   struct DonePoint {
-    const SweepPointInfo* info = nullptr;
+    SweepPointInfo info;
     BinaryGroup group;
     std::vector<MetricAggregate> aggregates;
   };
@@ -417,30 +425,29 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
   RunTaskPool(options.jobs, static_cast<uint64_t>(n_points) * reps, [&](uint64_t task) {
     const size_t p = static_cast<size_t>(task / reps);
     const uint64_t rep = task % reps;
+    PointState& state = *points[p];
     MetricRecorder recorder;
     const ReplicationContext ctx{
-        .seed = SubstreamSeed(point_infos[p].point_seed, scenario.name(), rep),
+        .seed = SubstreamSeed(state.info.point_seed, scenario.name(), rep),
         .replication = rep,
         .recorder = &recorder};
-    const ReplicationResult returned = scenario.Run(point_params[p], ctx);
-    PointCollector& collector = *collectors[p];
-    if (!collector.records.Deliver(rep, recorder.Finish(rep, returned),
-                                   [&](const ReplicationRecord& record) {
-                                     collector.encoder.Add(record);
-                                   })) {
+    const ReplicationResult returned = scenario.Run(state.params, ctx);
+    if (!state.records.Deliver(rep, recorder.Finish(rep, returned),
+                               [&](const ReplicationRecord& record) {
+                                 state.encoder.Add(record);
+                               })) {
       return;
     }
+    // Every replication of this point has landed: no other worker touches
+    // its state again.
     DonePoint done;
-    done.info = &point_infos[p];
-    done.group = collector.encoder.Finish();
-    collectors[p].reset();
+    done.info = std::move(state.info);
+    done.group = state.encoder.Finish();
+    points[p].reset();
     done.aggregates = AggregateGroup(done.group);
-    if (options.retain_points) {
-      result.points[p].aggregates = done.aggregates;
-    }
     done_points.Deliver(p, std::move(done), [&](const DonePoint& head) {
       for (SweepPointSink* sink : options.point_sinks) {
-        sink->OnPointDone(*head.info, head.aggregates, head.group);
+        sink->OnPointDone(head.info, head.aggregates, head.group);
       }
     });
   });
@@ -449,22 +456,6 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
   for (SweepPointSink* sink : options.point_sinks) {
     sink->EndSweep();
   }
-  return result;
-}
-
-std::string SweepResultToCsv(const SweepResult& result) {
-  std::vector<SweepRow> rows;
-  rows.reserve(result.points.size());
-  for (const SweepPointResult& point : result.points) {
-    SweepRow row;
-    row.param_values.reserve(point.point.size());
-    for (const auto& [key, value] : point.point) {
-      row.param_values.push_back(value);
-    }
-    row.aggregates = point.aggregates;
-    rows.push_back(std::move(row));
-  }
-  return SweepLongCsv(result.param_keys, rows);
 }
 
 }  // namespace wlansim

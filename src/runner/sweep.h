@@ -13,7 +13,9 @@
 // order and land in that point's WLSR GroupEncoder, the only record store.
 // When the point's last replication lands, the engine folds the finished
 // group one column at a time (AggregateGroup: exact quantiles at any
-// replication count) and hands group and aggregates to the point sinks.
+// replication count) and hands group and aggregates to the point sinks —
+// every output of a run is a point sink — and then frees the point. The
+// engine returns nothing: what outlives a point is what its sinks keep.
 
 #ifndef WLANSIM_RUNNER_SWEEP_H_
 #define WLANSIM_RUNNER_SWEEP_H_
@@ -121,10 +123,12 @@ class SweepPointSink {
 };
 
 // Streams the long-format CSV (header + one row per point and metric) to
-// `out` as points complete, byte-identical to SweepResultToCsv over the
-// same run — the header is a pure function of the manifest and each point's
-// rows are a pure function of its aggregates, so nothing needs to wait for
-// the run to end. With zero axes this is the campaign aggregate CSV.
+// `out` as points complete — the header is a pure function of the manifest
+// and each point's rows are a pure function of its aggregates, so nothing
+// needs to wait for the run to end. Shard outputs concatenate under one
+// header into exactly the unsharded file. With zero axes this is the
+// campaign aggregate CSV. EndSweep throws std::runtime_error when a write
+// failed.
 class StreamingSweepCsvWriter final : public SweepPointSink {
  public:
   explicit StreamingSweepCsvWriter(std::ostream& out) : out_(out) {}
@@ -161,6 +165,31 @@ class ReplicationCsvWriter final : public SweepPointSink {
   bool begun_ = false;
 };
 
+// The one sink that keeps aggregates past their point: every point's
+// identity and aggregates, in grid order, for a reader that needs them after
+// the run — wlansim_run's stdout table and --json, the examples, the figure
+// benches and the tests. BeginSweep throws std::logic_error when the
+// collector already served a run.
+class AggregateCollector final : public SweepPointSink {
+ public:
+  struct Point {
+    SweepPointInfo info;
+    std::vector<MetricAggregate> aggregates;  // ordered by metric name
+  };
+
+  void BeginSweep(const SweepManifest& manifest) override;
+  void OnPointDone(const SweepPointInfo& info,
+                   const std::vector<MetricAggregate>& aggregates,
+                   const BinaryGroup& group) override;
+
+  // This shard's points, grid order.
+  const std::vector<Point>& points() const { return points_; }
+
+ private:
+  bool begun_ = false;
+  std::vector<Point> points_;
+};
+
 struct SweepOptions {
   std::string scenario;
   // Applied to every grid point. A key may not be both a base param and a
@@ -176,27 +205,9 @@ struct SweepOptions {
   unsigned shard_index = 0;
   unsigned shard_count = 1;
   // Per-point completion sinks (not owned, must outlive RunSweepCampaign).
-  // Each receives every point in grid order; see SweepPointSink.
+  // Each receives every point in grid order; see SweepPointSink. They are
+  // the run's only output.
   std::vector<SweepPointSink*> point_sinks;
-  // When false, SweepResult::points stays empty — the sinks are the only
-  // output, and peak memory no longer grows with the shard's point count.
-  // (Aggregates are still computed per point and handed to the sinks.)
-  bool retain_points = true;
-};
-
-// Aggregates for one grid point.
-struct SweepPointResult {
-  size_t point_index = 0;  // global grid index, not shard-local
-  std::vector<std::pair<std::string, std::string>> point;  // (key, value), axis order
-  std::vector<MetricAggregate> aggregates;                 // ordered by metric name
-};
-
-struct SweepResult {
-  std::string scenario;
-  uint64_t base_seed = 1;
-  uint64_t replications = 1;
-  std::vector<std::string> param_keys;   // axis keys, axis order
-  std::vector<SweepPointResult> points;  // this shard's slice, grid order
 };
 
 // The base seed for one grid point's replication batch: a substream of
@@ -209,16 +220,13 @@ uint64_t SweepPointSeed(uint64_t base_seed,
 
 // Expands the grid, takes this shard's slice, and runs
 // options.replications replications of every grid point on options.jobs
-// threads. Throws std::invalid_argument for an unknown scenario (the
-// message lists the registered ones), an unknown or ambiguous parameter,
-// an invalid shard spec, or zero replications. A scenario exception, or a
-// replication whose metric set differs from the first replication's, is
+// threads, handing each finished point to options.point_sinks. Throws
+// std::invalid_argument for an unknown scenario (the message lists the
+// registered ones), an unknown or ambiguous parameter, an invalid shard
+// spec, or zero replications. A scenario exception, a replication whose
+// metric set differs from the first replication's, or a sink's exception is
 // rethrown on the calling thread.
-SweepResult RunSweepCampaign(const SweepOptions& options);
-
-// The long-format combined CSV for a sweep (header + one row per point and
-// metric), emitted via SweepLongCsv.
-std::string SweepResultToCsv(const SweepResult& result);
+void RunSweepCampaign(const SweepOptions& options);
 
 }  // namespace wlansim
 

@@ -200,10 +200,10 @@ SweepOptions ProbeSweep(unsigned jobs, unsigned shard_index, unsigned shard_coun
 }
 
 TEST(StreamingGolden, ShardedSweepCsvMergesByteForByte) {
-  const std::string full = SweepResultToCsv(RunSweepCampaign(ProbeSweep(4, 0, 1)));
+  const std::string full = RunCsv(ProbeSweep(4, 0, 1));
   std::string merged;
   for (unsigned shard = 0; shard < 3; ++shard) {
-    const std::string part = SweepResultToCsv(RunSweepCampaign(ProbeSweep(4, shard, 3)));
+    const std::string part = RunCsv(ProbeSweep(4, shard, 3));
     merged += shard == 0 ? part : part.substr(part.find('\n') + 1);
   }
   EXPECT_EQ(full, merged);
@@ -220,7 +220,7 @@ TEST(DenseMultiBssHistogram, PerStationThroughputRecorded) {
   options.base_params.Set("stas_per_bss", "3");
   options.base_params.Set("sim_time_s", "0.3");
   options.base_params.Set("sta_hist", "true");
-  const SweepResult result = RunSweepCampaign(options);
+  const std::vector<AggregateCollector::Point> points = RunCollect(options);
 
   // The record itself, from the scenario run outside the engine.
   const ReplicationRecord record = RunReplication(options, 0);
@@ -233,7 +233,7 @@ TEST(DenseMultiBssHistogram, PerStationThroughputRecorded) {
 
   // The campaign's one-replication aggregate is that record's value.
   bool saw_p50 = false;
-  for (const MetricAggregate& a : result.points.front().aggregates) {
+  for (const MetricAggregate& a : points.front().aggregates) {
     if (a.metric == "per_sta_mbps_p50") {
       saw_p50 = true;
       EXPECT_EQ(a.mean, m.at("per_sta_mbps_p50"));
@@ -250,8 +250,8 @@ TEST(DenseMultiBssHistogram, OffByDefaultKeepsColumnSetUnchanged) {
   options.base_params.Set("n_bss", "1");
   options.base_params.Set("stas_per_bss", "2");
   options.base_params.Set("sim_time_s", "0.3");
-  const SweepResult result = RunSweepCampaign(options);
-  for (const MetricAggregate& a : result.points.front().aggregates) {
+  const std::vector<AggregateCollector::Point> points = RunCollect(options);
+  for (const MetricAggregate& a : points.front().aggregates) {
     EXPECT_EQ(a.metric.find("per_sta_mbps"), std::string::npos) << a.metric;
   }
 }

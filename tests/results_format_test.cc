@@ -181,9 +181,8 @@ std::string CampaignBinary(unsigned jobs, uint64_t reps) {
   return RunBinary(ProbeCampaign(jobs, reps));
 }
 
-std::string SweepBinary(unsigned jobs, unsigned shard_index, unsigned shard_count,
-                        SweepResult* result_out = nullptr) {
-  return RunBinary(ProbeSweep(jobs, shard_index, shard_count), result_out);
+std::string SweepBinary(unsigned jobs, unsigned shard_index, unsigned shard_count) {
+  return RunBinary(ProbeSweep(jobs, shard_index, shard_count));
 }
 
 TEST(BinaryWriter, CampaignBytesIdenticalAcrossWorkerCounts) {
@@ -222,10 +221,19 @@ TEST(BinaryWriter, ShardMergeIsByteIdenticalToUnshardedFile) {
   EXPECT_EQ(merged.str(), full);
 }
 
+// One run's --csv bytes, with its --binary-out bytes in `bin_out`.
+std::string RunCsvAndBinary(SweepOptions options, std::string* bin_out) {
+  std::ostringstream csv;
+  StreamingSweepCsvWriter csv_writer(csv);
+  options.point_sinks.push_back(&csv_writer);
+  *bin_out = RunBinary(options);
+  return csv.str();
+}
+
 TEST(BinaryReader, SweepExportMatchesLongCsvByteForByte) {
-  SweepResult result;
-  const std::string bytes = SweepBinary(4, 0, 1, &result);
-  EXPECT_EQ(ExportCsv(bytes), SweepResultToCsv(result));
+  std::string bytes;
+  const std::string csv = RunCsvAndBinary(ProbeSweep(4, 0, 1), &bytes);
+  EXPECT_EQ(ExportCsv(bytes), csv);
 }
 
 TEST(BinaryReader, HistogramSnapshotsSurviveTheRoundTrip) {
@@ -259,15 +267,6 @@ TEST(BinaryReader, HistogramSnapshotsSurviveTheRoundTrip) {
 // --binary-out: the engine folds the very group it writes, with the very
 // function the offline path uses — at a replication count where the old
 // CLI switched to approximate quantiles.
-std::string RunCsvAndBinary(SweepOptions options, std::string* bin_out) {
-  std::ostringstream csv;
-  StreamingSweepCsvWriter csv_writer(csv);
-  options.point_sinks.push_back(&csv_writer);
-  options.retain_points = false;
-  *bin_out = RunBinary(options);
-  return csv.str();
-}
-
 TEST(BinaryReader, CampaignCsvEqualsAggregateOfItsOwnBinaryAt10k) {
   std::string bin;
   const std::string csv = RunCsvAndBinary(ProbeCampaign(4, 10000), &bin);
@@ -290,8 +289,8 @@ TEST(BinaryReader, LegacyStreamedHeaderByteIsIgnored) {
   // runs that aggregated with approximate quantiles. Their records are
   // exact, so they parse, export and aggregate exactly like a 0-byte file.
   constexpr size_t kReservedOffset = 7;  // magic u32 | version u16 | kind u8
-  SweepResult sweep;
-  const std::string sweep_bytes = SweepBinary(2, 0, 1, &sweep);
+  std::string sweep_bytes;
+  const std::string exact_sweep_csv = RunCsvAndBinary(ProbeSweep(2, 0, 1), &sweep_bytes);
   const std::string campaign_bytes = CampaignBinary(2, 64);
   ASSERT_EQ(sweep_bytes[kReservedOffset], 0);
   ASSERT_EQ(campaign_bytes[kReservedOffset], 0);
@@ -300,7 +299,6 @@ TEST(BinaryReader, LegacyStreamedHeaderByteIsIgnored) {
   std::string legacy_campaign = campaign_bytes;
   legacy_campaign[kReservedOffset] = 1;
 
-  const std::string exact_sweep_csv = SweepResultToCsv(sweep);
   EXPECT_EQ(ExportCsv(legacy_sweep), exact_sweep_csv);
   EXPECT_EQ(AggregateBinary({ParseBinaryResults(legacy_sweep)}), exact_sweep_csv);
   const std::string legacy_agg = AggregateBinary({ParseBinaryResults(legacy_campaign)});
@@ -495,30 +493,45 @@ TEST(BinaryReader, DamagedCountsThrowBeforeSizingAnAllocation) {
 
 // --- streamed sweep CSV (satellite: reorder-buffered long-format streaming) -----
 
-TEST(SweepStreamCsv, StreamedLongCsvMatchesBatchByteForByte) {
-  // Exact mode, streaming writer riding the point sinks: rows hit the
-  // stream in grid order as points complete out of order across 8 workers.
+TEST(SweepStreamCsv, CollectorHoldsWhatTheCsvWriterStreams) {
+  // The streaming writer and the collector ride the same point sinks: rows
+  // hit the stream in grid order as points complete out of order across 8
+  // workers, and the collector keeps those very points in the same order.
   std::ostringstream streamed;
   StreamingSweepCsvWriter writer(streamed);
+  AggregateCollector collected;
   SweepOptions options = ProbeSweep(8, 0, 1);
   options.point_sinks.push_back(&writer);
-  const SweepResult result = RunSweepCampaign(options);
-  EXPECT_EQ(streamed.str(), SweepResultToCsv(result));
+  options.point_sinks.push_back(&collected);
+  RunSweepCampaign(options);
+  std::string rebuilt = SweepLongCsvHeader(options.grid.Keys());
+  for (const AggregateCollector::Point& point : collected.points()) {
+    std::vector<std::string> values;
+    for (const auto& [key, value] : point.info.point) {
+      values.push_back(value);
+    }
+    rebuilt += SweepLongCsvRows(values, point.aggregates);
+  }
+  EXPECT_EQ(streamed.str(), rebuilt);
 }
 
 TEST(SweepStreamCsv, WorksWithoutRetainedPoints) {
-  // retain_points=false is the at-scale configuration: the sinks are the
-  // only output. The streamed CSV must still be byte-identical to what a
-  // retaining run produces.
-  const std::string retained = SweepResultToCsv(RunSweepCampaign(ProbeSweep(4, 0, 1)));
-  std::ostringstream streamed;
-  StreamingSweepCsvWriter writer(streamed);
-  SweepOptions options = ProbeSweep(4, 0, 1);
-  options.point_sinks.push_back(&writer);
-  options.retain_points = false;
-  const SweepResult result = RunSweepCampaign(options);
-  EXPECT_TRUE(result.points.empty());
-  EXPECT_EQ(streamed.str(), retained);
+  // A run without a collector is the at-scale configuration: the streaming
+  // sinks are the only output and nothing outlives a point. The streamed
+  // CSV must still be byte-identical to what a collecting run produces.
+  AggregateCollector collected;
+  SweepOptions collecting = ProbeSweep(4, 0, 1);
+  collecting.point_sinks.push_back(&collected);
+  EXPECT_EQ(RunCsv(ProbeSweep(4, 0, 1)), RunCsv(collecting));
+}
+
+TEST(SweepStreamCsv, CollectorRejectsSecondRun) {
+  AggregateCollector collected;
+  SweepOptions options = ProbeSweep(2, 0, 1);
+  options.point_sinks.push_back(&collected);
+  RunSweepCampaign(options);
+  EXPECT_THROW(RunSweepCampaign(options), std::logic_error);
+  EXPECT_EQ(collected.points().size(), 6u);
 }
 
 }  // namespace

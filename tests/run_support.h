@@ -1,7 +1,7 @@
 // Helpers shared by the engine tests: run a campaign or sweep into its
-// --binary-out bytes, export such bytes to CSV, decode one scalar column of
-// a group by name, and run one replication outside the engine as an
-// independent reference.
+// --binary-out bytes, its --csv bytes or its collected aggregates, export
+// WLSR bytes to CSV, decode one scalar column of a group by name, and run
+// one replication outside the engine as an independent reference.
 
 #ifndef WLANSIM_TESTS_RUN_SUPPORT_H_
 #define WLANSIM_TESTS_RUN_SUPPORT_H_
@@ -24,15 +24,30 @@
 namespace wlansim {
 
 // Runs `options` with a binary writer attached; returns the file bytes.
-inline std::string RunBinary(SweepOptions options, SweepResult* result_out = nullptr) {
+inline std::string RunBinary(SweepOptions options) {
   std::ostringstream bin;
   BinaryResultsWriter writer(bin);
   options.point_sinks.push_back(&writer);
-  SweepResult result = RunSweepCampaign(options);
-  if (result_out != nullptr) {
-    *result_out = std::move(result);
-  }
+  RunSweepCampaign(options);
   return bin.str();
+}
+
+// Runs `options` with the --csv writer attached; returns the long-format
+// aggregate CSV.
+inline std::string RunCsv(SweepOptions options) {
+  std::ostringstream csv;
+  StreamingSweepCsvWriter writer(csv);
+  options.point_sinks.push_back(&writer);
+  RunSweepCampaign(options);
+  return csv.str();
+}
+
+// Runs `options` with an AggregateCollector attached; returns its points.
+inline std::vector<AggregateCollector::Point> RunCollect(SweepOptions options) {
+  AggregateCollector collected;
+  options.point_sinks.push_back(&collected);
+  RunSweepCampaign(options);
+  return collected.points();
 }
 
 // `wlansim_results export` of the WLSR file `bytes`.

@@ -189,7 +189,7 @@ TEST(AggregationTest, CsvHeadersAreStable) {
   // together with every CSV consumer (CI artifacts, figure scripts). The
   // zero-key header is the campaign aggregate CSV.
   EXPECT_EQ(SweepLongCsvHeader({}), "metric,count,mean,stddev,ci95_half,min,max,p50,p95\n");
-  EXPECT_EQ(SweepLongCsv({"a", "b"}, {}),
+  EXPECT_EQ(SweepLongCsvHeader({"a", "b"}),
             "a,b,metric,count,mean,stddev,ci95_half,min,max,p50,p95\n");
 }
 
@@ -201,7 +201,7 @@ TEST(AggregationTest, SingleReplicationHasZeroCi) {
 
 TEST(AggregationTest, CsvAndJsonShape) {
   const std::vector<MetricAggregate> aggregates = {AggregateScalarSamples("goodput", {1.0, 2.0})};
-  const std::string csv = SweepLongCsv({}, {SweepRow{{}, aggregates}});
+  const std::string csv = SweepLongCsvHeader({}) + SweepLongCsvRows({}, aggregates);
   EXPECT_NE(csv.find("metric,count,mean,stddev,ci95_half,min,max"), std::string::npos);
   EXPECT_NE(csv.find("goodput,2,1.5"), std::string::npos);
   const std::string json = AggregatesToJson("sat", 2, aggregates);

@@ -189,7 +189,8 @@ TEST(CsvEscaping, SpecialFieldsQuoted) {
 
 TEST(CsvEscaping, MetricNamesEscapedInWriters) {
   const std::string agg_csv =
-      SweepLongCsv({}, {SweepRow{{}, {AggregateScalarSamples("throughput, up", {1.0})}}});
+      SweepLongCsvHeader({}) +
+      SweepLongCsvRows({}, {AggregateScalarSamples("throughput, up", {1.0})});
   EXPECT_NE(agg_csv.find("\"throughput, up\",1,1"), std::string::npos) << agg_csv;
   GroupEncoder encoder(0, 1, {}, 1);
   ReplicationRecord rep;
@@ -205,10 +206,8 @@ TEST(CsvEscaping, SweepLongCsvEscapesKeysAndValues) {
   MetricAggregate agg;
   agg.metric = "x,y";
   agg.count = 1;
-  SweepRow row;
-  row.param_values = {"va\"lue"};
-  row.aggregates = {agg};
-  const std::string csv = SweepLongCsv({"weird,key"}, {row});
+  const std::string csv =
+      SweepLongCsvHeader({"weird,key"}) + SweepLongCsvRows({"va\"lue"}, {agg});
   EXPECT_NE(csv.find("\"weird,key\",metric,"), std::string::npos) << csv;
   EXPECT_NE(csv.find("\"va\"\"lue\",\"x,y\",1,"), std::string::npos) << csv;
 }
@@ -252,15 +251,18 @@ SweepOptions ProbeOptions(unsigned jobs, unsigned shard_index, unsigned shard_co
 }
 
 TEST(SweepCampaign, RunsEveryPointWithMergedParams) {
-  const SweepResult result = RunSweepCampaign(ProbeOptions(1, 0, 1));
-  ASSERT_EQ(result.points.size(), 6u);
-  EXPECT_EQ(result.param_keys, (std::vector<std::string>{"a", "b"}));
+  const std::vector<AggregateCollector::Point> points = RunCollect(ProbeOptions(1, 0, 1));
+  ASSERT_EQ(points.size(), 6u);
   // Row-major order, base param present everywhere.
-  EXPECT_EQ(result.points[0].point,
+  EXPECT_EQ(points[0].info.point,
             (std::vector<std::pair<std::string, std::string>>{{"a", "1"}, {"b", "10"}}));
-  EXPECT_EQ(result.points[5].point,
+  EXPECT_EQ(points[5].info.point,
             (std::vector<std::pair<std::string, std::string>>{{"a", "3"}, {"b", "20"}}));
-  for (const SweepPointResult& point : result.points) {
+  for (size_t p = 0; p < points.size(); ++p) {
+    EXPECT_EQ(points[p].info.point_index, p);
+    EXPECT_EQ(points[p].info.point_seed, SweepPointSeed(99, points[p].info.point));
+  }
+  for (const AggregateCollector::Point& point : points) {
     for (const MetricAggregate& a : point.aggregates) {
       if (a.metric == "base") {
         EXPECT_DOUBLE_EQ(a.mean, 7.0);
@@ -270,8 +272,8 @@ TEST(SweepCampaign, RunsEveryPointWithMergedParams) {
 }
 
 TEST(SweepCampaign, CsvIdenticalAcrossJobs) {
-  const std::string serial = SweepResultToCsv(RunSweepCampaign(ProbeOptions(1, 0, 1)));
-  const std::string parallel = SweepResultToCsv(RunSweepCampaign(ProbeOptions(8, 0, 1)));
+  const std::string serial = RunCsv(ProbeOptions(1, 0, 1));
+  const std::string parallel = RunCsv(ProbeOptions(8, 0, 1));
   EXPECT_EQ(serial, parallel);
 }
 
@@ -284,16 +286,15 @@ TEST(SweepCampaign, CrossPointWorkQueueSaturatesAndStaysDeterministic) {
   serial_options.replications = 1;
   SweepOptions pooled_options = ProbeOptions(8, 0, 1);
   pooled_options.replications = 1;
-  EXPECT_EQ(SweepResultToCsv(RunSweepCampaign(serial_options)),
-            SweepResultToCsv(RunSweepCampaign(pooled_options)));
+  EXPECT_EQ(RunCsv(serial_options), RunCsv(pooled_options));
 }
 
 TEST(SweepCampaign, CsvIdenticalAcrossShardRecombination) {
-  const std::string full = SweepResultToCsv(RunSweepCampaign(ProbeOptions(2, 0, 1)));
+  const std::string full = RunCsv(ProbeOptions(2, 0, 1));
   for (unsigned count : {2u, 3u, 6u}) {
     std::string merged;
     for (unsigned index = 0; index < count; ++index) {
-      const std::string shard = SweepResultToCsv(RunSweepCampaign(ProbeOptions(2, index, count)));
+      const std::string shard = RunCsv(ProbeOptions(2, index, count));
       const size_t header_end = shard.find('\n') + 1;
       merged += index == 0 ? shard : shard.substr(header_end);
     }
@@ -325,11 +326,15 @@ TEST(SweepCampaign, ZeroAxisGridIsTheCampaign) {
   EXPECT_EQ(SweepPointSeed(5, {}), 5u);
   SweepOptions options = ProbeOptions(4, 0, 1);
   options.grid = SweepGrid();
-  SweepResult result;
-  const BinaryResultsFile file = ParseBinaryResults(RunBinary(options, &result));
-  ASSERT_EQ(result.points.size(), 1u);
-  EXPECT_TRUE(result.param_keys.empty());
-  EXPECT_TRUE(result.points[0].point.empty());
+  // Its long CSV is the campaign aggregate table: no parameter columns.
+  EXPECT_EQ(RunCsv(options).substr(0, 7), "metric,");
+  AggregateCollector collected;
+  options.point_sinks.push_back(&collected);
+  const BinaryResultsFile file = ParseBinaryResults(RunBinary(options));
+  ASSERT_EQ(collected.points().size(), 1u);
+  EXPECT_TRUE(collected.points()[0].info.point.empty());
+  EXPECT_EQ(collected.points()[0].info.point_seed, 99u);
+  EXPECT_TRUE(file.header.param_keys.empty());
   ASSERT_EQ(file.groups.size(), 1u);
   const std::vector<double> seed_mod = ScalarColumn(file.groups[0], "seed_mod");
   ASSERT_EQ(seed_mod.size(), 4u);
@@ -337,8 +342,6 @@ TEST(SweepCampaign, ZeroAxisGridIsTheCampaign) {
     EXPECT_DOUBLE_EQ(seed_mod[i],
                      static_cast<double>(SubstreamSeed(99, "sweep_probe_test", i) % 1000003));
   }
-  // Its long CSV is the campaign aggregate table: no parameter columns.
-  EXPECT_EQ(SweepResultToCsv(result).substr(0, 7), "metric,");
 }
 
 TEST(SweepCampaign, RepsCsvWriterNeedsAZeroAxisGrid) {
@@ -395,12 +398,12 @@ TEST(SweepCampaign, RateVsDistanceDeterministicAcrossJobsAndShards) {
     return options;
   };
 
-  const std::string serial = SweepResultToCsv(RunSweepCampaign(make_options(1, 0, 1)));
-  const std::string parallel = SweepResultToCsv(RunSweepCampaign(make_options(0, 0, 1)));
+  const std::string serial = RunCsv(make_options(1, 0, 1));
+  const std::string parallel = RunCsv(make_options(0, 0, 1));
   EXPECT_EQ(serial, parallel);
 
-  const std::string half0 = SweepResultToCsv(RunSweepCampaign(make_options(2, 0, 2)));
-  const std::string half1 = SweepResultToCsv(RunSweepCampaign(make_options(2, 1, 2)));
+  const std::string half0 = RunCsv(make_options(2, 0, 2));
+  const std::string half1 = RunCsv(make_options(2, 1, 2));
   EXPECT_EQ(serial, half0 + half1.substr(half1.find('\n') + 1));
 }
 
