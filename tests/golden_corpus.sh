@@ -2,7 +2,8 @@
 # Golden-byte corpus check: regenerates the canonical scenario output set
 # (tools/scenario_outputs.sh: every scenario's campaign stdout table, CSV,
 # per-replication CSV, JSON and WLSR file, plus a two-point sweep's stdout
-# table, CSV and WLSR file) and compares every file against the committed
+# table, CSV and WLSR file, and for city_grid a 16-BSS campaign whose cutoff
+# prunes receivers) and compares every file against the committed
 # sha256 manifest. Any change to a default-mode output byte fails; an
 # intended change regenerates the manifest in the same commit:
 #

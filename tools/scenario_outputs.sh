@@ -5,7 +5,9 @@
 # when none is), one short campaign (stdout table, aggregate CSV,
 # per-replication CSV, aggregate JSON, WLSR file) and one two-point sweep
 # (stdout table, long CSV, WLSR file), with fixed seeds and shortened
-# simulated time so the whole matrix runs in a few seconds.
+# simulated time so the whole matrix runs in a few seconds. city_grid adds a
+# third run, a 16-BSS campaign (CSV and WLSR file) whose reception cutoff
+# prunes real receivers.
 #
 # Usage: scenario_outputs.sh <wlansim_run binary> <output dir> [scenario...]
 #
@@ -70,6 +72,14 @@ for s in $scenarios; do
     # shellcheck disable=SC2086
     "$BIN" --scenario="$s" $extra --sweep "$axis" --reps=2 --seed=5 --jobs=0 \
       --csv="$OUT/$s-sweep.csv" --binary-out="$OUT/$s-sweep.wlsr" > "$OUT/$s-sweep.txt"
+  fi
+  if [ "$s" = city_grid ]; then
+    # A grid large enough that the -100 dBm cutoff really prunes: about 32
+    # of 47 receivers hear each send, so these bytes pin the channel's
+    # bounded-radius receiver enumeration, not just its all-receivers case.
+    "$BIN" --scenario=city_grid --param n_bss=16 --param sim_time_s=1 --reps=2 --seed=5 \
+      --csv="$OUT/city_grid-pruned-campaign.csv" \
+      --binary-out="$OUT/city_grid-pruned-campaign.wlsr" > /dev/null
   fi
 done
 
