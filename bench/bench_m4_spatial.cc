@@ -2,23 +2,26 @@
 // 10^3 and 10^4 static nodes scattered at constant density, for three
 // channel configurations per size:
 //
-//   dense_nocut   — the historical behaviour: no cutoff, every send offers
-//                   the frame to every other node (the O(n) fan-out).
-//   dense_cut     — the -100 dBm reception cutoff on the dense loop:
-//                   receivers beyond the interference radius are computed
-//                   and then suppressed (saves the arrival events, not the
-//                   per-receiver visit).
-//   spatial_cut   — the same cutoff with the spatial receiver index: only
-//                   the 3x3 grid neighbourhood is visited at all.
+//   dense_nocut   — the historical behaviour: no cutoff, so the radius is
+//                   unbounded and every send offers the frame to every
+//                   other node (the O(n) fan-out).
+//   dense_cut     — the -100 dBm reception cutoff over a loss model with
+//                   the same powers but no range bound
+//                   (tests/unbounded_range_loss.h): the grid is one cell,
+//                   so receivers beyond the interference radius are
+//                   computed and then suppressed (saves the arrival
+//                   events, not the per-receiver visit).
+//   spatial_cut   — the same cutoff on log-distance loss, whose bounded
+//                   radius lets the grid visit only the 3x3 cell block.
 //
 // Offers per send saturate at (node density x pi r^2) once the city
 // outgrows the interference radius, so fan-out cost grows sublinearly in
-// node count on the indexed path while dense_nocut stays O(n). The driver
+// node count on the pruned grid while dense_nocut stays O(n). The driver
 // cross-checks, per size, that dense_cut and spatial_cut deliver the exact
 // same offer stream (count and per-offer power/delay checksums — the bench
-// restates the differential gate before timing anything), and hard-fails if
-// the 10^4-node point shows less than a 5x offer reduction. The long-format
-// CSV (--csv=) is what the CI perf-smoke job uploads.
+// restates the differential test before timing anything), and hard-fails
+// if the 10^4-node point shows less than a 5x offer reduction. The
+// long-format CSV (--csv=) is what the CI perf-smoke job uploads.
 
 #include <algorithm>
 #include <cmath>
@@ -36,6 +39,7 @@
 #include "phy/propagation.h"
 #include "phy/wifi_mode.h"
 #include "phy/wifi_phy.h"
+#include "tests/unbounded_range_loss.h"
 
 namespace wlansim {
 namespace {
@@ -45,19 +49,17 @@ constexpr double kNodeSpacing = 25.0;  // metres between nodes on average
 constexpr size_t kSendsPerBatch = 32;
 
 // A city of `n` bare PHYs (no MAC above them) at uniform random positions
-// in a square sized for constant density, on one shared channel.
+// in a square sized for constant density, on one shared channel whose
+// loss model either bounds its radius (`bounded`) or does not.
 struct City {
   Simulator sim;
   Channel channel;
   std::vector<std::unique_ptr<ConstantPositionMobility>> mobility;
   std::vector<std::unique_ptr<WifiPhy>> phys;
 
-  City(size_t n, bool spatial, double cutoff_dbm, uint64_t seed)
-      : channel(&sim, std::make_unique<LogDistanceLossModel>(3.0), Rng(seed)) {
-    // Explicit on every config: the bench must measure what it says it
-    // measures even when CI sets the WLANSIM_* channel overrides.
+  City(size_t n, bool bounded, double cutoff_dbm, uint64_t seed)
+      : channel(&sim, MakeLogDistanceLoss(bounded), Rng(seed)) {
     channel.SetRxCutoffDbm(cutoff_dbm);
-    channel.EnableSpatialIndex(spatial);
     Rng rng(seed + 1);
     const double side = kNodeSpacing * std::sqrt(static_cast<double>(n));
     mobility.reserve(n);
@@ -90,8 +92,8 @@ struct City {
 };
 
 // Offer count plus order-sensitive checksums over the offer stream, via the
-// channel's probe hook. Equality across configs means the two paths visited
-// the same receivers with the same powers and delays in the same order.
+// channel's probe hook. Equality across configs means the two grids offered
+// to the same receivers with the same powers and delays in the same order.
 struct OfferTrace {
   uint64_t offers = 0;
   double power_sum = 0.0;
@@ -128,7 +130,7 @@ int Run(int argc, char** argv) {
     City spatial_cut(n, true, kCutoffDbm, seed);
 
     // Differential cross-check before timing: same seeds, same sends — the
-    // cutoff paths must produce the identical offer stream.
+    // two cutoff configs must produce the identical offer stream.
     const OfferTrace nocut = TraceBatch(dense_nocut);
     const OfferTrace dense_trace = TraceBatch(dense_cut);
     const OfferTrace spatial_trace = TraceBatch(spatial_cut);

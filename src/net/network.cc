@@ -30,11 +30,6 @@ void Network::SetRxCutoffDbm(double dbm) {
   channel_->SetRxCutoffDbm(dbm);
 }
 
-void Network::EnableSpatialIndex(bool on) {
-  EnsureChannel();
-  channel_->EnableSpatialIndex(on);
-}
-
 void Network::EnsureChannel() {
   if (channel_ != nullptr) {
     return;

@@ -42,11 +42,10 @@ class Network {
   MatrixLossModel* UseMatrixLoss(double default_loss_db = 200.0);
   void UseRayleighFading();
 
-  // Channel reception cutoff and spatial receiver index (see Channel).
-  // These create the channel on demand, so pick the loss/fading models
-  // first; after that they may be called at any point, even mid-run.
+  // Channel reception cutoff (see Channel). Creates the channel on demand,
+  // so pick the loss/fading models first; after that it may be called at
+  // any point, even mid-run.
   void SetRxCutoffDbm(double dbm);
-  void EnableSpatialIndex(bool on = true);
 
   Node* AddNode(const Node::Config& config);
 

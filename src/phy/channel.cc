@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "core/hotpath_stats.h"
@@ -66,14 +65,7 @@ struct Channel::DeliveryClosure {
 };
 
 Channel::Channel(Simulator* sim, std::unique_ptr<PropagationLossModel> loss, Rng rng)
-    : sim_(sim), loss_(std::move(loss)), rng_(rng) {
-  if (const char* env = std::getenv("WLANSIM_RX_CUTOFF_DBM")) {
-    rx_cutoff_dbm_ = std::strtod(env, nullptr);
-  }
-  if (const char* env = std::getenv("WLANSIM_SPATIAL_INDEX")) {
-    spatial_enabled_ = env[0] == '1';
-  }
-}
+    : sim_(sim), loss_(std::move(loss)), rng_(rng) {}
 
 Channel::~Channel() {
   HotPathStats::channel_bytes_copied.fetch_add(send_stats_.bytes_copied,
@@ -127,44 +119,39 @@ void Channel::Send(RadioDevice* sender, const Packet& packet, const SignalParams
   assert(tx_index != nullptr);
   ctx.tx_index = *tx_index;
 
-  bool offered = false;
-  if (spatial_enabled_) {
-    if (!grid_built_ || !GridCurrent()) {
-      RebuildGrid();
+  if (grid_generation_ != topology_generation_ || grid_loss_epoch_ != ctx.loss_epoch) {
+    RebuildGrid();
+  }
+  if (cell_size_ == 0.0) {
+    // Unbounded radius: the grid is one cell holding every device in attach
+    // order, which is devices_ itself.
+    for (size_t i = 0; i < devices_.size(); ++i) {
+      OfferTo(i, ctx);
     }
-    if (GridUsable()) {
-      // Indexed path. Any receiver whose pre-fading power can reach the
-      // cutoff lies within the sender's interference radius, and the radius
-      // never exceeds cell_size_, so the 3x3 cell block around the sender
-      // covers every candidate that OfferTo could deliver to. Receivers in
-      // the block but outside the radius are visited anyway and fall to the
-      // exact cutoff check — the grid only prunes, it never decides.
-      ++send_stats_.grid_queries;
-      ctx.tx_pos = ctx.tx_mobility->PositionAt(ctx.now);
-      ctx.tx_pos_known = true;
-      scratch_candidates_.clear();
-      const int64_t cx = static_cast<int64_t>(std::floor(ctx.tx_pos.x / cell_size_));
-      const int64_t cy = static_cast<int64_t>(std::floor(ctx.tx_pos.y / cell_size_));
-      for (int64_t dy = -1; dy <= 1; ++dy) {
-        for (int64_t dx = -1; dx <= 1; ++dx) {
-          if (const std::vector<uint32_t>* cell = grid_cells_.Find(CellKey(cx + dx, cy + dy))) {
-            scratch_candidates_.insert(scratch_candidates_.end(), cell->begin(), cell->end());
-          }
+  } else {
+    // Any receiver whose pre-fading power can reach the cutoff lies within
+    // the sender's interference radius, and the radius never exceeds
+    // cell_size_, so the 3x3 cell block around the sender covers every
+    // candidate that OfferTo could deliver to. Receivers in the block but
+    // outside the radius are visited anyway and fall to the exact cutoff
+    // check — the grid only prunes, it never decides.
+    ctx.tx_pos = ctx.tx_mobility->PositionAt(ctx.now);
+    ctx.tx_pos_known = true;
+    scratch_candidates_.clear();
+    const int64_t cx = static_cast<int64_t>(std::floor(ctx.tx_pos.x / cell_size_));
+    const int64_t cy = static_cast<int64_t>(std::floor(ctx.tx_pos.y / cell_size_));
+    for (int64_t dy = -1; dy <= 1; ++dy) {
+      for (int64_t dx = -1; dx <= 1; ++dx) {
+        if (const std::vector<uint32_t>* cell = grid_cells_.Find(CellKey(cx + dx, cy + dy))) {
+          scratch_candidates_.insert(scratch_candidates_.end(), cell->begin(), cell->end());
         }
       }
-      scratch_candidates_.insert(scratch_candidates_.end(), moving_.begin(), moving_.end());
-      // Ascending index order = the dense loop's visit order, so the fading
-      // draws below consume rng_ in exactly the same sequence.
-      std::sort(scratch_candidates_.begin(), scratch_candidates_.end());
-      for (const uint32_t i : scratch_candidates_) {
-        OfferTo(i, ctx);
-      }
-      offered = true;
     }
-  }
-
-  if (!offered) {
-    for (size_t i = 0; i < devices_.size(); ++i) {
+    scratch_candidates_.insert(scratch_candidates_.end(), moving_.begin(), moving_.end());
+    // Ascending index order = the one-cell grid's visit order, so the fading
+    // draws below consume rng_ in exactly the same sequence.
+    std::sort(scratch_candidates_.begin(), scratch_candidates_.end());
+    for (const uint32_t i : scratch_candidates_) {
       OfferTo(i, ctx);
     }
   }
@@ -221,9 +208,9 @@ void Channel::OfferTo(size_t rx_index, TxContext& ctx) {
   }
 
   // The cutoff gates everything downstream — including the fading draw, so
-  // a suppressed receiver consumes no RNG on either the dense or the
-  // indexed path. Compared on the pre-fading power: the cutoff models
-  // receiver-independent propagation reach, not fast-fading luck.
+  // a suppressed receiver consumes no RNG, whatever the grid's shape.
+  // Compared on the pre-fading power: the cutoff models receiver-independent
+  // propagation reach, not fast-fading luck.
   if (rx_dbm < rx_cutoff_dbm_) {
     ++send_stats_.cutoff_suppressed;
     return;
@@ -252,7 +239,6 @@ void Channel::OfferTo(size_t rx_index, TxContext& ctx) {
 
 void Channel::RebuildGrid() {
   ++send_stats_.grid_rebuilds;
-  grid_built_ = true;
   grid_generation_ = topology_generation_;
   grid_loss_epoch_ = loss_->MutationEpoch();
   grid_cells_.Clear();
@@ -264,9 +250,10 @@ void Channel::RebuildGrid() {
     radius = std::max(radius,
                       loss_->MaxRangeMeters(caps.tx_power_dbm, caps.frequency_hz, rx_cutoff_dbm_));
   }
-  if (devices_.empty() || !std::isfinite(radius)) {
+  if (!std::isfinite(radius)) {
     // Unbounded radius (matrix/shadowing loss, or -inf cutoff): no cell
-    // size can cover it, so Send stays on the dense loop.
+    // size can cover it, so the grid is the one cell Send reads straight
+    // from devices_.
     cell_size_ = 0.0;
     return;
   }

@@ -25,24 +25,29 @@
 //  - Reception cutoff: SetRxCutoffDbm installs a channel-wide floor —
 //    a transmission whose pre-fading received power at a device is below
 //    the cutoff is not delivered at all (no frame, no CCA energy, no
-//    interference contribution). This is a *semantic* of the channel,
-//    applied identically whether or not the spatial index is enabled; that
-//    identity is what makes the indexed path bit-exact. Default: -infinity
-//    (deliver everything, the historical behaviour).
+//    interference contribution). This is a *semantic* of the channel: the
+//    receiver grid below only skips devices the cutoff would drop anyway.
+//    Default: -infinity (deliver everything, the historical behaviour).
 //
-//  - Spatial receiver index: with a finite cutoff and a loss model that can
-//    bound its interference radius (PropagationLossModel::MaxRangeMeters),
-//    EnableSpatialIndex makes Send visit only receivers inside the
-//    transmitter's radius, found through a uniform grid over static node
-//    positions (cell size = the largest attached radius). The grid is
-//    rebuilt lazily when the topology generation moves — Attach, a static
-//    node's SetPosition (via MobilityModel::RegisterMutationCounter), a
-//    mobility-model swap, or a cutoff change all bump it. Moving nodes are
-//    never indexed: they sit on a bypass list that every Send visits.
-//    Candidates are visited in ascending attach order — the dense loop's
-//    order — so the per-receiver fading draws consume the channel RNG in
-//    exactly the same sequence and small-topology outputs stay
-//    byte-identical to the dense path.
+//  - Spatial receiver grid: Send finds its receivers through a uniform
+//    grid, its one receiver enumeration. The grid's cell size is the
+//    largest interference radius the loss model promises for any attached
+//    transmitter at the current cutoff (PropagationLossModel::
+//    MaxRangeMeters), so its shape follows from what the loss model can
+//    bound and from nothing else:
+//      * finite radius — static devices are bucketed by position and a
+//        send visits the 3x3 cell block around the transmitter plus every
+//        moving node (moving nodes are never bucketed; they sit on a bypass
+//        list);
+//      * unbounded radius (-inf cutoff, matrix loss, shadowing) — the grid
+//        is one cell holding every device in attach order, read straight
+//        from the device list.
+//    Either way candidates are visited in ascending attach order, so the
+//    per-receiver fading draws consume the channel RNG in the same
+//    sequence whatever the grid's shape. The grid is rebuilt lazily when
+//    the topology generation moves — Attach, a static node's SetPosition
+//    (via MobilityModel::RegisterMutationCounter), a mobility-model swap,
+//    or a cutoff change all bump it — or when the loss model mutates.
 //
 //  - Zero-copy fan-out: each Send materializes at most one refcounted
 //    DeliveryRecord holding a CoW view of the sender's packet buffer plus
@@ -82,11 +87,6 @@ class MobilityModel;
 
 class Channel {
  public:
-  // Environment overrides (read once at construction, before any setter):
-  // WLANSIM_SPATIAL_INDEX=1 enables the spatial index and
-  // WLANSIM_RX_CUTOFF_DBM=<dbm> sets the reception cutoff. They exist so CI
-  // can A/B an unmodified scenario binary against the dense path without
-  // perturbing its parameters (and therefore its CSV output).
   Channel(Simulator* sim, std::unique_ptr<PropagationLossModel> loss, Rng rng);
   // Folds the fan-out copy counter into HotPathStats (see send_stats()).
   ~Channel();
@@ -113,12 +113,6 @@ class Channel {
   }
   double rx_cutoff_dbm() const { return rx_cutoff_dbm_; }
 
-  // Spatial receiver index on/off. Purely an acceleration structure: with
-  // the cutoff semantics fixed, enabling it never changes which receivers
-  // hear a transmission, their received powers, delays, or any RNG draw.
-  void EnableSpatialIndex(bool on) { spatial_enabled_ = on; }
-  bool spatial_index_enabled() const { return spatial_enabled_; }
-
   // Built-in loss models bump their MutationEpoch on mid-run edits (e.g.
   // MatrixLossModel::SetLoss), which invalidates memoized rows
   // automatically.
@@ -131,15 +125,14 @@ class Channel {
   };
   const CacheStats& cache_stats() const { return cache_stats_; }
 
-  // Transmission fan-out counters. `offers` and `sends` are invariant
-  // between the dense and indexed paths (the differential CI gate relies on
-  // that); the remaining counters describe how much work each path did.
+  // Transmission fan-out counters. `offers` and `sends` are fixed by the
+  // topology and the cutoff; `candidates_visited` and `cutoff_suppressed`
+  // also depend on the grid's shape, so they measure how much it pruned.
   struct SendStats {
     uint64_t sends = 0;               // Send() calls
     uint64_t offers = 0;              // receiver arrivals actually scheduled
     uint64_t candidates_visited = 0;  // receivers examined (incl. suppressed)
     uint64_t cutoff_suppressed = 0;   // visited but below the cutoff
-    uint64_t grid_queries = 0;        // sends answered by the spatial index
     uint64_t grid_rebuilds = 0;
     // Packet bytes deep-copied (CoW faults) inside Send's fan-out loop.
     // The zero-copy contract: every receiver gets a view of one shared
@@ -218,16 +211,10 @@ class Channel {
 
   // The shared per-receiver body of Send: cache lookup or loss-model
   // computation, the cutoff check, the fading draw, and arrival scheduling.
-  // Both the dense loop and the indexed loop funnel through it, in the same
-  // receiver order — that is the bit-exactness argument in one sentence.
+  // Every grid shape funnels through it in ascending receiver order — that
+  // is the bit-exactness argument in one sentence.
   void OfferTo(size_t rx_index, TxContext& ctx);
 
-  // True when Send may use the grid: index enabled, finite cutoff, and the
-  // loss model bounded every attached transmitter's radius at last rebuild.
-  bool GridUsable() const { return spatial_enabled_ && cell_size_ > 0.0; }
-  bool GridCurrent() const {
-    return grid_generation_ == topology_generation_ && grid_loss_epoch_ == loss_->MutationEpoch();
-  }
   void RebuildGrid();
 
   Simulator* sim_;
@@ -242,18 +229,18 @@ class Channel {
   CacheStats cache_stats_;
 
   double rx_cutoff_dbm_ = -std::numeric_limits<double>::infinity();
-  bool spatial_enabled_ = false;
 
-  // Spatial grid over static devices. cell_size_ <= 0 means "no usable
-  // grid" (unbounded radius or nothing attached): Send stays on the dense
-  // loop.
+  // The receiver grid. cell_size_ == 0 is the unbounded radius's one cell
+  // (every device, read from devices_); otherwise static devices are
+  // bucketed in grid_cells_ and the rest sit on moving_.
   double cell_size_ = 0.0;
   FlatHash64<std::vector<uint32_t>> grid_cells_;  // CellKey -> device indices (ascending)
   std::vector<uint32_t> moving_;                  // non-static devices, ascending
-  uint64_t topology_generation_ = 0;  // bumped by Attach/teleports/swaps/cutoff
-  uint64_t grid_generation_ = 0;      // topology generation the grid was built at
-  uint64_t grid_loss_epoch_ = 0;      // loss MutationEpoch at build
-  bool grid_built_ = false;
+  // Bumped by Attach/teleports/swaps/cutoff. Every Send follows an Attach,
+  // so the first Send always finds the grid stale and builds it.
+  uint64_t topology_generation_ = 0;
+  uint64_t grid_generation_ = 0;  // topology generation the grid was built at
+  uint64_t grid_loss_epoch_ = 0;  // loss MutationEpoch at build
   std::vector<uint32_t> scratch_candidates_;
 
   SendStats send_stats_;

@@ -28,7 +28,7 @@ class MobilityModel {
   // without any explicit invalidation call — dirty-marking by comparison.
   virtual uint64_t PositionEpoch() const { return 0; }
 
-  // The channel's spatial receiver index registers its topology-generation
+  // The channel's spatial receiver grid registers its topology-generation
   // counter here; NotifyPositionMutation() bumps it together with
   // PositionEpoch(), so position-derived state (grid cell assignments) can
   // detect a teleport with one integer compare per transmission instead of

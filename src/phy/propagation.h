@@ -30,12 +30,13 @@ class PropagationLossModel {
 
   // Conservative interference radius: a distance R such that RxPowerDbm is
   // guaranteed below `cutoff_dbm` for every receiver farther than R from the
-  // transmitter. The channel's spatial receiver index prunes receivers
+  // transmitter. The channel's spatial receiver grid prunes receivers
   // outside R; the exact per-receiver cutoff check still runs inside it, so
   // R only has to be an upper bound, never tight. The default (infinity)
   // means "no bound can be promised": position-independent models
   // (MatrixLossModel) and models with unbounded per-link terms (log-normal
-  // shadowing) return it, which keeps the dense all-receivers path in use.
+  // shadowing) return it, which makes the channel's grid one cell holding
+  // every receiver.
   virtual double MaxRangeMeters(double tx_power_dbm, double frequency_hz,
                                 double cutoff_dbm) const {
     (void)tx_power_dbm;

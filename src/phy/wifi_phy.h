@@ -76,7 +76,7 @@ class WifiPhy : public RadioDevice {
   // Wiring.
   void AttachChannel(Channel* channel, uint32_t node_id, MobilityModel* mobility);
   // Swaps the mobility model instance (Node::SetMobility). The channel is
-  // notified so position-derived state (spatial index) tracks the new model.
+  // notified so position-derived state (the receiver grid) tracks the new model.
   void SetMobility(MobilityModel* mobility);
   void SetListener(PhyListener* listener) { listener_ = listener; }
   using ReceiveCallback = std::function<void(Packet, const RxInfo&)>;

@@ -317,11 +317,8 @@ DenseMultiBssResult RunDenseMultiBssScenario(const DenseMultiBssParams& p) {
 
 CityGridResult RunCityGridScenario(const CityGridParams& p) {
   Network net(Network::Params{.seed = p.seed});
-  net.UseLogDistanceLoss(3.0);  // no shadowing: the index needs a bounded radius
+  net.UseLogDistanceLoss(3.0);  // no shadowing: the grid needs a bounded radius
   net.SetRxCutoffDbm(p.cutoff_dbm);
-  if (p.spatial) {
-    net.EnableSpatialIndex(true);
-  }
 
   const auto modes = ModesFor(p.standard);
   const WifiMode fixed = modes.back();
@@ -379,10 +376,6 @@ CityGridResult RunCityGridScenario(const CityGridParams& p) {
   const Channel::SendStats& cs = net.channel().send_stats();
   result.channel_sends = cs.sends;
   result.channel_offers = cs.offers;
-  result.candidates_visited = cs.candidates_visited;
-  result.cutoff_suppressed = cs.cutoff_suppressed;
-  result.grid_queries = cs.grid_queries;
-  result.grid_rebuilds = cs.grid_rebuilds;
   return result;
 }
 

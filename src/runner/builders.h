@@ -134,24 +134,19 @@ DenseMultiBssResult RunDenseMultiBssScenario(const DenseMultiBssParams& p);
 
 // City-scale co-channel deployment: like dense_multi_bss but sized for
 // thousands of nodes spread far beyond one interference radius, the
-// workload the channel's spatial receiver index exists for. Log-distance
-// loss without shadowing (the index needs a bounded radius), a finite
-// reception cutoff active on both the dense and indexed paths, and the
-// index itself opt-in — with identical results either way, which is what
-// the differential CI gate checks.
+// workload the channel's spatial receiver grid exists for. Log-distance
+// loss without shadowing gives a bounded interference radius, so with the
+// finite reception cutoff each send visits only the grid cells around
+// its transmitter.
 struct CityGridParams {
   PhyStandard standard = PhyStandard::k80211b;
   size_t n_bss = 9;
   size_t stas_per_bss = 2;
   double bss_spacing = 120.0;
   double sta_radius = 10.0;
-  // Reception cutoff in dBm; applied on both paths, so it is a scenario
-  // semantic, not an optimisation toggle.
+  // Reception cutoff in dBm: a scenario semantic, not an optimisation
+  // toggle.
   double cutoff_dbm = -100.0;
-  // Turns the spatial index on. Leaving it false keeps the channel under
-  // the WLANSIM_SPATIAL_INDEX environment override, which is how CI A/Bs
-  // the two paths without touching the scenario's parameter set.
-  bool spatial = false;
   size_t payload = 1000;
   Time sim_time = Time::Seconds(2);
   Time warmup = Time::Seconds(1);
@@ -159,15 +154,9 @@ struct CityGridParams {
 };
 struct CityGridResult {
   RunResult run;
-  // Path-invariant channel totals (identical dense vs indexed; safe as CSV
-  // metrics and asserted equal by the differential tests).
+  // Channel totals, fixed by the topology and the cutoff.
   uint64_t channel_sends = 0;
   uint64_t channel_offers = 0;
-  // Path-dependent work counters (how much each path did; never CSV).
-  uint64_t candidates_visited = 0;
-  uint64_t cutoff_suppressed = 0;
-  uint64_t grid_queries = 0;
-  uint64_t grid_rebuilds = 0;
 };
 CityGridResult RunCityGridScenario(const CityGridParams& p);
 

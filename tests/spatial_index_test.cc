@@ -1,12 +1,13 @@
-// The spatial receiver index's one contract: with the reception cutoff
-// fixed, the indexed path is bit-exact against the dense path — same
-// receivers, same pre-fading powers and delays, in the same order, with the
-// same RNG consumption. These tests enforce it differentially on random
-// topologies (with and without fading), then pin the index's moving parts:
-// lazy grid rebuilds on static teleports and mobility swaps, the exact
-// boundary semantics of the cutoff, and the moving-node bypass list.
+// The spatial receiver grid's one contract: with the reception cutoff
+// fixed, a grid pruned by a bounded interference radius is bit-exact
+// against the one-cell grid of an unbounded radius — same receivers, same
+// pre-fading powers and delays, in the same order, with the same RNG
+// consumption. These tests enforce it differentially on random topologies
+// (with and without fading), against a loss model with identical powers
+// and no range bound (tests/unbounded_range_loss.h), then pin the grid's
+// moving parts: lazy rebuilds on static teleports and mobility swaps, the
+// exact boundary semantics of the cutoff, and the moving-node bypass list.
 
-#include <cstdlib>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "phy/propagation.h"
 #include "phy/wifi_mode.h"
 #include "phy/wifi_phy.h"
+#include "tests/unbounded_range_loss.h"
 
 namespace wlansim {
 namespace {
@@ -39,11 +41,10 @@ struct World {
   std::vector<std::unique_ptr<WifiPhy>> phys;
   std::vector<Offer> offers;
 
-  World(uint64_t seed, bool spatial, double cutoff_dbm, size_t n_static, size_t n_moving,
+  World(uint64_t seed, bool bounded, double cutoff_dbm, size_t n_static, size_t n_moving,
         double side, bool rayleigh = false)
-      : channel(&sim, std::make_unique<LogDistanceLossModel>(3.0), Rng(seed)) {
+      : channel(&sim, MakeLogDistanceLoss(bounded), Rng(seed)) {
     channel.SetRxCutoffDbm(cutoff_dbm);
-    channel.EnableSpatialIndex(spatial);
     if (rayleigh) {
       channel.SetFading(std::make_unique<RayleighFading>());
     }
@@ -81,42 +82,42 @@ struct World {
   }
 };
 
-// The tentpole property: on random topologies the indexed path reproduces
-// the dense path's offer stream exactly — not approximately, not as a set,
-// but the same (tx, rx, power, delay) tuples in the same order.
+// The central property: on random topologies the pruned grid reproduces
+// the unbounded reference's offer stream exactly — not approximately, not
+// as a set, but the same (tx, rx, power, delay) tuples in the same order.
 TEST(SpatialIndex, RandomizedDifferentialOfferStreamIsExact) {
   for (const uint64_t seed : {11u, 22u, 33u, 44u, 55u}) {
-    World dense(seed, /*spatial=*/false, /*cutoff_dbm=*/-92.0, 40, 3, 600.0);
-    World spatial(seed, /*spatial=*/true, /*cutoff_dbm=*/-92.0, 40, 3, 600.0);
-    dense.RunSends(24);
-    spatial.RunSends(24);
+    World reference(seed, /*bounded=*/false, /*cutoff_dbm=*/-92.0, 40, 3, 600.0);
+    World grid(seed, /*bounded=*/true, /*cutoff_dbm=*/-92.0, 40, 3, 600.0);
+    reference.RunSends(24);
+    grid.RunSends(24);
 
-    ASSERT_FALSE(dense.offers.empty());
-    EXPECT_EQ(dense.offers, spatial.offers) << "seed " << seed;
-    // Path-invariant counters agree; the index actually ran and pruned.
-    EXPECT_EQ(dense.channel.send_stats().offers, spatial.channel.send_stats().offers);
-    EXPECT_EQ(dense.channel.send_stats().sends, spatial.channel.send_stats().sends);
-    EXPECT_GT(spatial.channel.send_stats().grid_queries, 0u) << "seed " << seed;
-    EXPECT_LT(spatial.channel.send_stats().candidates_visited,
-              dense.channel.send_stats().candidates_visited)
+    ASSERT_FALSE(reference.offers.empty());
+    EXPECT_EQ(reference.offers, grid.offers) << "seed " << seed;
+    // The totals fixed by the cutoff agree; the grid actually pruned.
+    EXPECT_EQ(reference.channel.send_stats().offers, grid.channel.send_stats().offers);
+    EXPECT_EQ(reference.channel.send_stats().sends, grid.channel.send_stats().sends);
+    EXPECT_LT(grid.channel.send_stats().candidates_visited,
+              reference.channel.send_stats().candidates_visited)
         << "seed " << seed;
   }
 }
 
 // With per-frame fading the RNG draw sequence is part of the contract: a
-// suppressed receiver must not consume a draw on either path. Post-fading
-// outcomes (every PHY's reception counters) must therefore match exactly.
+// suppressed receiver must not consume a draw, whatever the grid's shape.
+// Post-fading outcomes (every PHY's reception counters) must therefore
+// match exactly.
 TEST(SpatialIndex, DifferentialWithFadingMatchesReceptionCounters) {
   for (const uint64_t seed : {7u, 77u}) {
-    World dense(seed, false, -92.0, 30, 2, 500.0, /*rayleigh=*/true);
-    World spatial(seed, true, -92.0, 30, 2, 500.0, /*rayleigh=*/true);
-    dense.RunSends(20);
-    spatial.RunSends(20);
+    World reference(seed, false, -92.0, 30, 2, 500.0, /*rayleigh=*/true);
+    World grid(seed, true, -92.0, 30, 2, 500.0, /*rayleigh=*/true);
+    reference.RunSends(20);
+    grid.RunSends(20);
 
-    EXPECT_EQ(dense.offers, spatial.offers) << "seed " << seed;
-    for (size_t i = 0; i < dense.phys.size(); ++i) {
-      const WifiPhy::Counters& d = dense.phys[i]->counters();
-      const WifiPhy::Counters& s = spatial.phys[i]->counters();
+    EXPECT_EQ(reference.offers, grid.offers) << "seed " << seed;
+    for (size_t i = 0; i < reference.phys.size(); ++i) {
+      const WifiPhy::Counters& d = reference.phys[i]->counters();
+      const WifiPhy::Counters& s = grid.phys[i]->counters();
       EXPECT_EQ(d.rx_ok, s.rx_ok) << "node " << i << " seed " << seed;
       EXPECT_EQ(d.rx_error, s.rx_error) << "node " << i << " seed " << seed;
       EXPECT_EQ(d.rx_dropped_busy, s.rx_dropped_busy) << "node " << i << " seed " << seed;
@@ -130,7 +131,6 @@ TEST(SpatialIndex, StaticTeleportRebuildsGrid) {
   Simulator sim;
   Channel channel{&sim, std::make_unique<LogDistanceLossModel>(3.0), Rng(1)};
   channel.SetRxCutoffDbm(-80.0);  // range ~=~ 21 m at 16 dBm
-  channel.EnableSpatialIndex(true);
   ConstantPositionMobility pos_a{{0, 0, 0}};
   ConstantPositionMobility pos_b{{10, 0, 0}};
   ConstantPositionMobility pos_c{{5000, 5000, 0}};  // far outside a's radius
@@ -161,7 +161,6 @@ TEST(SpatialIndex, MobilitySwapForcesRebuild) {
   Simulator sim;
   Channel channel{&sim, std::make_unique<LogDistanceLossModel>(3.0), Rng(1)};
   channel.SetRxCutoffDbm(-80.0);
-  channel.EnableSpatialIndex(true);
   ConstantPositionMobility pos_a{{0, 0, 0}};
   ConstantPositionMobility far{{9000, 9000, 0}};
   WifiPhy a{&sim, {}, Rng(2)};
@@ -185,14 +184,13 @@ TEST(SpatialIndex, MobilitySwapForcesRebuild) {
 // Boundary semantics, pinned with a matrix loss (exact dB arithmetic, no
 // geometry): power exactly at the cutoff is delivered (>= compare), the
 // tiniest step below is suppressed. Matrix loss has no finite radius, so
-// this also covers the dense-fallback path with the index enabled.
+// this also covers the unbounded radius's one-cell grid.
 TEST(SpatialIndex, CutoffBoundaryIsInclusive) {
   Simulator sim;
   auto loss = std::make_unique<MatrixLossModel>(200.0);
   MatrixLossModel* matrix = loss.get();
   Channel channel{&sim, std::move(loss), Rng(1)};
   channel.SetRxCutoffDbm(-90.0);
-  channel.EnableSpatialIndex(true);
   ConstantPositionMobility pos_a{{0, 0, 0}};
   ConstantPositionMobility pos_b{{10, 0, 0}};
   WifiPhy a{&sim, {.tx_power_dbm = 16.0}, Rng(2)};
@@ -207,8 +205,6 @@ TEST(SpatialIndex, CutoffBoundaryIsInclusive) {
   channel.Send(&a, p, MakeWifiSignal(mode, p.size(), false));
   EXPECT_EQ(channel.send_stats().offers, 1u);
   EXPECT_EQ(channel.send_stats().cutoff_suppressed, 0u);
-  // Unbounded radius: the index must have fallen back to the dense loop.
-  EXPECT_EQ(channel.send_stats().grid_queries, 0u);
 
   matrix->SetLoss(0, 1, 106.0 + 1e-9);  // epsilon below the cutoff
   channel.Send(&a, p, MakeWifiSignal(mode, p.size(), false));
@@ -218,9 +214,9 @@ TEST(SpatialIndex, CutoffBoundaryIsInclusive) {
 }
 
 // A receiver placed exactly at the loss model's promised MaxRangeMeters:
-// whatever the dense path decides at that floating-point knife edge, the
-// indexed path must decide identically (the radius is conservative, so the
-// grid may never be the one to drop it).
+// whatever the unbounded reference decides at that floating-point knife
+// edge, the pruned grid must decide identically (the radius is
+// conservative, so the grid may never be the one to drop it).
 TEST(SpatialIndex, ReceiverExactlyAtRadiusMatchesDensePath) {
   const double cutoff = -88.0;
   const WifiPhy::Config config;  // 16 dBm, 11b
@@ -230,12 +226,11 @@ TEST(SpatialIndex, ReceiverExactlyAtRadiusMatchesDensePath) {
   ASSERT_TRUE(std::isfinite(radius));
 
   std::vector<Offer> streams[2];
-  for (const bool spatial : {false, true}) {
+  for (const bool bounded : {false, true}) {
     Simulator sim;
-    Channel channel{&sim, std::make_unique<LogDistanceLossModel>(3.0), Rng(1)};
+    Channel channel{&sim, MakeLogDistanceLoss(bounded), Rng(1)};
     channel.SetRxCutoffDbm(cutoff);
-    channel.EnableSpatialIndex(spatial);
-    std::vector<Offer>& offers = streams[spatial ? 1 : 0];
+    std::vector<Offer>& offers = streams[bounded ? 1 : 0];
     channel.AttachProbe([&offers](const RadioDevice* tx, const RadioDevice* rx, double dbm,
                                   Time d) {
       offers.emplace_back(tx->node_id(), rx->node_id(), dbm, d.seconds());
@@ -263,7 +258,6 @@ TEST(SpatialIndex, MovingReceiverBypassesGrid) {
   Simulator sim;
   Channel channel{&sim, std::make_unique<LogDistanceLossModel>(3.0), Rng(1)};
   channel.SetRxCutoffDbm(-80.0);  // range ~=~ 21 m
-  channel.EnableSpatialIndex(true);
   ConstantPositionMobility pos_a{{0, 0, 0}};
   ConstantPositionMobility pos_b{{10, 0, 0}};
   // Starts 1 km out, drives through the sender at 100 m/s.
@@ -296,29 +290,6 @@ TEST(SpatialIndex, MovingReceiverBypassesGrid) {
   // One grid build covers both sends: the mover's motion must not count as
   // a topology change.
   EXPECT_EQ(channel.send_stats().grid_rebuilds, 1u);
-}
-
-// The CI A/B override: the channel reads WLANSIM_SPATIAL_INDEX and
-// WLANSIM_RX_CUTOFF_DBM at construction, so an unmodified scenario binary
-// can be flipped onto the indexed path from the outside. Programmatic
-// setters still win afterwards.
-TEST(SpatialIndex, EnvironmentOverridesAreReadAtConstruction) {
-  ASSERT_EQ(setenv("WLANSIM_SPATIAL_INDEX", "1", 1), 0);
-  ASSERT_EQ(setenv("WLANSIM_RX_CUTOFF_DBM", "-123.5", 1), 0);
-  {
-    Simulator sim;
-    Channel channel{&sim, std::make_unique<LogDistanceLossModel>(3.0), Rng(1)};
-    EXPECT_TRUE(channel.spatial_index_enabled());
-    EXPECT_DOUBLE_EQ(channel.rx_cutoff_dbm(), -123.5);
-    channel.EnableSpatialIndex(false);
-    EXPECT_FALSE(channel.spatial_index_enabled());
-  }
-  ASSERT_EQ(unsetenv("WLANSIM_SPATIAL_INDEX"), 0);
-  ASSERT_EQ(unsetenv("WLANSIM_RX_CUTOFF_DBM"), 0);
-  Simulator sim;
-  Channel channel{&sim, std::make_unique<LogDistanceLossModel>(3.0), Rng(1)};
-  EXPECT_FALSE(channel.spatial_index_enabled());
-  EXPECT_EQ(channel.rx_cutoff_dbm(), -std::numeric_limits<double>::infinity());
 }
 
 }  // namespace
