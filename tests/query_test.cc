@@ -67,15 +67,33 @@ std::string SweepShardBytes(unsigned shard_index, unsigned shard_count, uint64_t
   return bin.str();
 }
 
-std::string CampaignBytes(uint64_t seed, const char* counters = "3") {
+std::string CampaignBytes(uint64_t seed, const char* counters = "3",
+                          uint64_t replications = 16) {
   std::ostringstream bin;
   BinaryResultsWriter writer(bin);
   SweepOptions options;  // no axes: a campaign
   options.scenario = "pipeline_probe";
   options.base_seed = seed;
-  options.replications = 16;
+  options.replications = replications;
   options.jobs = 2;
   options.base_params.Set("counters", counters);
+  options.base_params.Set("hist", "true");
+  options.point_sinks.push_back(&writer);
+  RunSweepCampaign(options);
+  return bin.str();
+}
+
+// A small sweep whose every point carries the latency_hist column.
+std::string HistSweepBytes() {
+  std::ostringstream bin;
+  BinaryResultsWriter writer(bin);
+  SweepOptions options;
+  options.scenario = "pipeline_probe";
+  options.grid.AddAxis(ParseSweepAxis("n_metrics=1,2"));
+  options.grid.AddAxis(ParseSweepAxis("samples=4,8"));
+  options.base_seed = 11;
+  options.replications = 6;
+  options.jobs = 2;
   options.base_params.Set("hist", "true");
   options.point_sinks.push_back(&writer);
   RunSweepCampaign(options);
@@ -412,6 +430,112 @@ TEST(QueryEngine, HistMergesDistColumnsAcrossFilesExactly) {
     binned += count;
   }
   EXPECT_EQ(binned, total - underflow - overflow);
+}
+
+TEST(QueryEngine, HistBodiesArePinned) {
+  // Two campaign files of more than kExtentRows rows each, so the fold
+  // crosses extent and file boundaries, plus a WHERE-filtered sweep. The
+  // bodies are literal: bin sums, min/max and the count-weighted mean's
+  // rounding all depend on folding the rows in pooled row order.
+  Catalog campaign;
+  campaign.RegisterFile(WriteTempFile("query_pin_a.wlsr", CampaignBytes(7, "0", 4500)));
+  campaign.RegisterFile(WriteTempFile("query_pin_b.wlsr", CampaignBytes(8, "0", 4200)));
+  Catalog sweep;
+  sweep.RegisterFile(WriteTempFile("query_pin_sweep.wlsr", HistSweepBytes()));
+  EXPECT_EQ(RunQuery(campaign, "HIST pipeline_probe:campaign latency_hist"),
+            R"(hist latency_hist count=1670400 underflow=0 overflow=0 min=0.000537053076 max=999.999968 mean=500.078077
+bin,lo,count
+0,0,41499
+1,25,42134
+2,50,41724
+3,75,41471
+4,100,41548
+5,125,41636
+6,150,41693
+7,175,41873
+8,200,41746
+9,225,42232
+10,250,41776
+11,275,41673
+12,300,41702
+13,325,41934
+14,350,41416
+15,375,41678
+16,400,42038
+17,425,41910
+18,450,41332
+19,475,41900
+20,500,41928
+21,525,42000
+22,550,42106
+23,575,41516
+24,600,41888
+25,625,42093
+26,650,41666
+27,675,41475
+28,700,41742
+29,725,41681
+30,750,41350
+31,775,41612
+32,800,41902
+33,825,41472
+34,850,41879
+35,875,41838
+36,900,41660
+37,925,41569
+38,950,41989
+39,975,42119
+)");
+  EXPECT_EQ(RunQuery(sweep, "HIST pipeline_probe:sweep latency_hist WHERE n_metrics=2"),
+            R"(hist latency_hist count=144 underflow=0 overflow=0 min=0.081136663 max=998.394426 mean=500.759917
+bin,lo,count
+0,0,5
+1,25,3
+2,50,1
+3,75,4
+4,100,1
+5,125,7
+6,150,2
+7,175,3
+8,200,2
+9,225,6
+10,250,4
+11,275,6
+12,300,5
+13,325,2
+14,350,4
+15,375,3
+16,400,5
+17,425,5
+18,450,5
+19,475,2
+20,500,2
+21,525,2
+22,550,3
+23,575,2
+24,600,3
+25,625,4
+26,650,3
+27,675,4
+28,700,2
+29,725,6
+30,750,5
+31,775,2
+32,800,6
+33,825,5
+34,850,7
+35,875,3
+36,900,3
+37,925,3
+38,950,2
+39,975,2
+)");
+  // A WHERE that matches no group is an empty histogram, not an error.
+  EXPECT_EQ(RunQuery(sweep,
+                     "HIST pipeline_probe:sweep latency_hist WHERE n_metrics=2 AND samples=5"),
+            R"(hist latency_hist count=0 underflow=0 overflow=0 min=0 max=0 mean=0
+bin,lo,count
+)");
 }
 
 TEST(QueryEngine, RejectsBadQueriesWithUsefulErrors) {
