@@ -51,9 +51,9 @@ std::vector<std::string> SplitCommas(const std::string& list) {
   return parts;
 }
 
-struct Filter {
-  std::vector<std::pair<size_t, std::string>> clauses;  // (param index, value)
-};
+// A parsed WHERE clause: (param index, value) pairs. Empty: no WHERE,
+// every group matches.
+using Filter = std::vector<std::pair<size_t, std::string>>;
 
 size_t ParamIndex(const Collection& c, const std::string& key) {
   for (size_t k = 0; k < c.param_keys.size(); ++k) {
@@ -70,7 +70,7 @@ size_t ParamIndex(const Collection& c, const std::string& key) {
 Filter ParseWhere(const Collection& c, const std::vector<std::string>& tokens, size_t& pos) {
   Filter filter;
   while (pos < tokens.size() && tokens[pos] != "GROUP") {
-    if (!filter.clauses.empty()) {
+    if (!filter.empty()) {
       if (tokens[pos] != "AND") {
         throw std::runtime_error("malformed WHERE clause: expected AND before '" + tokens[pos] +
                                  "'");
@@ -85,22 +85,48 @@ Filter ParseWhere(const Collection& c, const std::vector<std::string>& tokens, s
     if (eq == std::string::npos || eq == 0 || eq + 1 >= clause.size()) {
       throw std::runtime_error("malformed WHERE clause '" + clause + "' (expected key=value)");
     }
-    filter.clauses.emplace_back(ParamIndex(c, clause.substr(0, eq)), clause.substr(eq + 1));
+    filter.emplace_back(ParamIndex(c, clause.substr(0, eq)), clause.substr(eq + 1));
     ++pos;
   }
-  if (filter.clauses.empty()) {
+  if (filter.empty()) {
     throw std::runtime_error("malformed WHERE clause: no conditions");
   }
   return filter;
 }
 
-bool Matches(const Filter& filter, const BinaryGroupHeader& header) {
-  for (const auto& [index, value] : filter.clauses) {
-    if (header.param_values[index] != value) {
-      return false;
+// One GROUP BY bucket: its key tuple and its member groups.
+using Bucket = std::pair<std::vector<std::string>, std::vector<const BinaryGroup*>>;
+
+// Partitions the groups of `c` matching `filter` by their values of the
+// `key_indices` parameters. Buckets keep their members in pooled order
+// (ascending point, path order within a point) and come in order of first
+// appearance — both pure functions of the member set, never of
+// registration order. No keys: at most one bucket, every matching group.
+std::vector<Bucket> Partition(const Collection& c, const Filter& filter,
+                              const std::vector<size_t>& key_indices) {
+  std::vector<Bucket> buckets;
+  std::map<std::vector<std::string>, size_t> bucket_index;
+  for (const auto& [point, groups] : c.points) {
+    for (const BinaryGroup* group : groups) {
+      const auto differs = [group](const auto& clause) {
+        return group->header.param_values[clause.first] != clause.second;
+      };
+      if (std::any_of(filter.begin(), filter.end(), differs)) {
+        continue;
+      }
+      std::vector<std::string> key;
+      key.reserve(key_indices.size());
+      for (size_t k : key_indices) {
+        key.push_back(group->header.param_values[k]);
+      }
+      auto [it, created] = bucket_index.try_emplace(key, buckets.size());
+      if (created) {
+        buckets.emplace_back(std::move(key), std::vector<const BinaryGroup*>{});
+      }
+      buckets[it->second].second.push_back(group);
     }
   }
-  return true;
+  return buckets;
 }
 
 const Collection& FindCollection(const Catalog& catalog, const std::string& name) {
@@ -125,18 +151,6 @@ std::vector<std::string> ResolveMetrics(const Collection& c,
     }
   }
   return names;
-}
-
-// The scalar column index of `name` in one group's own schema; throws when
-// the group does not carry the metric (sweep points may differ in schema).
-size_t ColumnIndexIn(const BinaryGroup& group, const std::string& name) {
-  const std::vector<std::string>& names = group.header.scalar_names;
-  auto it = std::find(names.begin(), names.end(), name);
-  if (it == names.end()) {
-    throw std::runtime_error("metric '" + name + "' is not present at grid point " +
-                             std::to_string(group.header.point_index));
-  }
-  return static_cast<size_t>(it - names.begin());
 }
 
 }  // namespace
@@ -187,7 +201,6 @@ std::string QueryEngine::Execute(const std::string& query) {
                                "their bins cannot be merged");
     }
     Filter filter;
-    bool filtered = false;
     size_t pos = 3;
     if (pos < tokens.size()) {
       if (tokens[pos] != "WHERE") {
@@ -195,49 +208,47 @@ std::string QueryEngine::Execute(const std::string& query) {
       }
       ++pos;
       filter = ParseWhere(c, tokens, pos);
-      filtered = true;
       if (pos != tokens.size()) {
         throw std::runtime_error("unexpected token '" + tokens[pos] + "' after WHERE clause");
       }
     }
 
-    // Merge the selected rows' snapshots in canonical row order: exact
-    // integer sums for the counts, min/max over the rows that saw samples,
-    // mean weighted by each row's sample count (fold order = row order, so
-    // the result is independent of sharding and cache state).
+    // Fold each selected row's snapshot as its extent is decoded, in
+    // pooled row order: exact integer sums for the counts, min/max over
+    // the rows that saw samples, mean weighted by each row's sample count
+    // (fold order = row order, so the result is independent of sharding
+    // and cache state). The row set is SELECT's WHERE partition as one
+    // bucket; a WHERE matching no group is an empty histogram.
     const DistGeometry& geo = c.dist_geometry.at(dist_name);
     std::vector<uint64_t> bins(geo.n_bins, 0);
     uint64_t underflow = 0, overflow = 0, total = 0;
     double min = 0.0, max = 0.0, weighted_sum = 0.0;
     bool any = false;
-    std::vector<DistributionSnapshot> rows;
-    for (const auto& [point, groups] : c.points) {
-      for (const BinaryGroup* group : groups) {
-        if (filtered && !Matches(filter, group->header)) {
-          continue;
-        }
+    for (const auto& [key, members] : Partition(c, filter, {})) {
+      for (const BinaryGroup* group : members) {
         const std::vector<std::string>& group_dists = group->header.dist_names;
         auto dist_it = std::find(group_dists.begin(), group_dists.end(), dist_name);
         if (dist_it == group_dists.end()) {
           throw std::runtime_error("distribution column '" + dist_name +
-                                   "' is not present at grid point " + std::to_string(point) +
+                                   "' is not present at grid point " +
+                                   std::to_string(group->header.point_index) +
                                    "; add a WHERE clause to restrict the rows");
         }
-        ReadDistColumn(*group, static_cast<size_t>(dist_it - group_dists.begin()), &rows);
-        for (const DistributionSnapshot& row : rows) {
-          for (size_t b = 0; b < bins.size(); ++b) {
-            bins[b] += row.bins[b];
-          }
-          underflow += row.underflow;
-          overflow += row.overflow;
-          total += row.total;
-          weighted_sum += row.mean * static_cast<double>(row.total);
-          if (row.total > 0) {
-            if (!any || row.min < min) min = row.min;
-            if (!any || row.max > max) max = row.max;
-            any = true;
-          }
-        }
+        VisitDistRows(*group, static_cast<size_t>(dist_it - group_dists.begin()),
+                      [&](uint64_t, const DistributionSnapshot& row) {
+                        for (size_t b = 0; b < bins.size(); ++b) {
+                          bins[b] += row.bins[b];
+                        }
+                        underflow += row.underflow;
+                        overflow += row.overflow;
+                        total += row.total;
+                        weighted_sum += row.mean * static_cast<double>(row.total);
+                        if (row.total > 0) {
+                          if (!any || row.min < min) min = row.min;
+                          if (!any || row.max > max) max = row.max;
+                          any = true;
+                        }
+                      });
       }
     }
     const double mean = total > 0 ? weighted_sum / static_cast<double>(total) : 0.0;
@@ -284,18 +295,16 @@ std::string QueryEngine::Execute(const std::string& query) {
   const std::vector<std::string> metrics = ResolveMetrics(c, SplitCommas(metric_list));
 
   Filter filter;
-  bool filtered = false;
   std::vector<std::string> group_keys;
   bool explicit_group = false;
   size_t pos = from + 2;
   while (pos < tokens.size()) {
     if (tokens[pos] == "WHERE") {
-      if (filtered) {
+      if (!filter.empty()) {
         throw std::runtime_error("duplicate WHERE clause");
       }
       ++pos;
       filter = ParseWhere(c, tokens, pos);
-      filtered = true;
     } else if (tokens[pos] == "GROUP") {
       if (explicit_group) {
         throw std::runtime_error("duplicate GROUP BY clause");
@@ -326,63 +335,22 @@ std::string QueryEngine::Execute(const std::string& query) {
     key_indices.push_back(ParamIndex(c, key));
   }
 
-  // Partition the matching groups by key tuple. Buckets keep their members
-  // in pooled order (ascending point, path order within a point) and are
-  // emitted in order of first appearance — both pure functions of the
-  // member set, never of registration order.
-  std::vector<std::pair<std::vector<std::string>, std::vector<const BinaryGroup*>>> buckets;
-  std::map<std::vector<std::string>, size_t> bucket_index;
-  for (const auto& [point, groups] : c.points) {
-    for (const BinaryGroup* group : groups) {
-      if (filtered && !Matches(filter, group->header)) {
-        continue;
-      }
-      std::vector<std::string> key;
-      key.reserve(key_indices.size());
-      for (size_t k : key_indices) {
-        key.push_back(group->header.param_values[k]);
-      }
-      auto [it, created] = bucket_index.try_emplace(key, buckets.size());
-      if (created) {
-        buckets.emplace_back(std::move(key), std::vector<const BinaryGroup*>{});
-      }
-      buckets[it->second].second.push_back(group);
-    }
-  }
-  if (filtered && buckets.empty()) {
+  const std::vector<Bucket> buckets = Partition(c, filter, key_indices);
+  if (!filter.empty() && buckets.empty()) {
     throw std::runtime_error("no grid points match the WHERE clause");
   }
 
+  // "*" expands to each bucket's own schema — exactly the point's column
+  // list under the default per-point grouping, which is what keeps the
+  // default SELECT byte-identical to the offline aggregate even when
+  // sweep points differ in schema. Both run AggregateBucket; only the
+  // column source differs.
+  const ScalarColumnSource cached = [this](const BinaryGroup& group, size_t column) {
+    return cache_->GetScalarColumn(group, column);
+  };
   std::string csv = SweepLongCsvHeader(group_keys);
-  std::vector<double> pooled;
   for (const auto& [key, members] : buckets) {
-    // "*" expands to the bucket's own schema — exactly the point's column
-    // list under the default per-point grouping, which is what keeps the
-    // default SELECT byte-identical to the offline aggregate even when
-    // sweep points differ in schema. Pooling across members requires them
-    // to agree on it.
-    const std::vector<std::string>& names =
-        metrics.empty() ? members.front()->header.scalar_names : metrics;
-    if (metrics.empty()) {
-      for (const BinaryGroup* group : members) {
-        if (group->header.scalar_names != names) {
-          throw std::runtime_error(
-              "grid points pooled into one GROUP BY bucket disagree on their metric set; "
-              "select explicit metrics instead of *");
-        }
-      }
-    }
-    std::vector<MetricAggregate> aggregates;
-    aggregates.reserve(names.size());
-    for (const std::string& name : names) {
-      pooled.clear();
-      for (const BinaryGroup* group : members) {
-        const ColumnPtr values = cache_->GetScalarColumn(*group, ColumnIndexIn(*group, name));
-        pooled.insert(pooled.end(), values->begin(), values->end());
-      }
-      aggregates.push_back(AggregateScalarSamples(name, pooled));
-    }
-    csv += SweepLongCsvRows(key, aggregates);
+    csv += SweepLongCsvRows(key, AggregateBucket(members, metrics, cached));
   }
   return csv;
 }

@@ -20,9 +20,7 @@ ColumnPtr ExtentCache::GetScalarColumn(const BinaryGroup& group, size_t column) 
 
   // Decode outside the lock: a miss on a large column must not serialize
   // the other workers behind it.
-  auto values = std::make_shared<std::vector<double>>();
-  ReadScalarColumn(group, column, values.get());
-  ColumnPtr column_ptr = std::move(values);
+  ColumnPtr column_ptr = DecodeScalarColumn(group, column);
   const size_t bytes = column_ptr->size() * sizeof(double);
 
   std::lock_guard<std::mutex> lock(mu_);

@@ -1,8 +1,12 @@
 // Byte-budgeted LRU cache of decoded scalar columns, keyed by
-// (group, column). The query engine's hot loop is "decode this
-// column of this group" — the same extent walk repeated per query — so
-// caching the decoded doubles turns a warm repeat of a query into pure
-// arithmetic over resident vectors, no varint or extent framing work.
+// (group, column): the query server's column source for AggregateBucket
+// (results/binary_reader.h), the same fold `wlansim_results aggregate`
+// runs over direct decodes. The engine's hot loop is "decode this column
+// of this group" — the same extent walk repeated per query — so caching
+// the decoded doubles turns a warm repeat of a query into pure arithmetic
+// over resident vectors, no varint or extent framing work. Only scalar
+// columns are cached: HIST folds distribution rows extent by extent as
+// VisitDistRows decodes them and keeps no decoded rows.
 //
 // The cache only ever changes *when* work happens, never *what* is
 // computed: values are immutable shared snapshots of exactly what
@@ -27,8 +31,6 @@
 #include "results/binary_reader.h"
 
 namespace wlansim {
-
-using ColumnPtr = std::shared_ptr<const std::vector<double>>;
 
 struct ExtentCacheStats {
   uint64_t lookups = 0;

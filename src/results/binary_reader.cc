@@ -22,16 +22,12 @@ void SkipChunk(ByteReader& reader) {
   reader.GetRange(reader.GetVarint());
 }
 
-void SkipBinsBlock(ByteReader& reader) {
-  reader.GetRange(reader.GetVarint());
-}
-
 void SkipDistColumns(ByteReader& reader, size_t n_dists) {
   for (size_t d = 0; d < n_dists; ++d) {
     for (int c = 0; c < 6; ++c) {
       SkipChunk(reader);
     }
-    SkipBinsBlock(reader);
+    reader.GetRange(reader.GetVarint());  // bins block
   }
 }
 
@@ -75,27 +71,49 @@ bool SameSchema(const BinaryGroupHeader& a, const BinaryGroupHeader& b) {
   return true;
 }
 
-// Concatenates scalar column `column` of `groups` into `out`, in order.
-void PoolColumn(const std::vector<const BinaryGroup*>& groups, size_t column,
-                std::vector<double>* out) {
-  ReadScalarColumn(*groups.front(), column, out);
-  std::vector<double> part;
-  for (size_t g = 1; g < groups.size(); ++g) {
-    ReadScalarColumn(*groups[g], column, &part);
-    out->insert(out->end(), part.begin(), part.end());
+// The scalar column index of `name` in one group's own schema; throws when
+// the group does not carry the metric (sweep points may differ in schema).
+size_t ColumnIndexIn(const BinaryGroup& group, const std::string& name) {
+  const std::vector<std::string>& names = group.header.scalar_names;
+  auto it = std::find(names.begin(), names.end(), name);
+  if (it == names.end()) {
+    throw std::runtime_error("metric '" + name + "' is not present at grid point " +
+                             std::to_string(group.header.point_index));
   }
+  return static_cast<size_t>(it - names.begin());
 }
 
 }  // namespace
 
-std::vector<MetricAggregate> AggregateGroup(const BinaryGroup& group) {
+ColumnPtr DecodeScalarColumn(const BinaryGroup& group, size_t column) {
+  auto values = std::make_shared<std::vector<double>>();
+  ReadScalarColumn(group, column, values.get());
+  return values;
+}
+
+std::vector<MetricAggregate> AggregateBucket(const std::vector<const BinaryGroup*>& members,
+                                             const std::vector<std::string>& metrics,
+                                             const ScalarColumnSource& source) {
+  const std::vector<std::string>& names =
+      metrics.empty() ? members.front()->header.scalar_names : metrics;
+  if (metrics.empty()) {
+    for (const BinaryGroup* group : members) {
+      if (group->header.scalar_names != names) {
+        throw std::runtime_error(
+            "grid points pooled into one GROUP BY bucket disagree on their metric set; "
+            "select explicit metrics instead of *");
+      }
+    }
+  }
   std::vector<MetricAggregate> aggregates;
-  aggregates.reserve(group.header.scalar_names.size());
-  std::vector<double> column;
-  for (size_t c = 0; c < group.header.scalar_names.size(); ++c) {
-    ReadScalarColumn(group, c, &column);
-    aggregates.push_back(
-        AggregateScalarSamples(group.header.scalar_names[c], std::move(column)));
+  aggregates.reserve(names.size());
+  for (const std::string& name : names) {
+    std::vector<double> pooled;
+    for (const BinaryGroup* group : members) {
+      const ColumnPtr values = source(*group, ColumnIndexIn(*group, name));
+      pooled.insert(pooled.end(), values->begin(), values->end());
+    }
+    aggregates.push_back(AggregateScalarSamples(name, std::move(pooled)));
   }
   return aggregates;
 }
@@ -178,59 +196,6 @@ void ReadScalarColumn(const BinaryGroup& group, size_t column, std::vector<doubl
   });
 }
 
-void ReadDistColumn(const BinaryGroup& group, size_t dist,
-                    std::vector<DistributionSnapshot>* out) {
-  if (dist >= group.header.dist_names.size()) {
-    throw std::out_of_range("distribution column " + std::to_string(dist) +
-                            " outside schema of " +
-                            std::to_string(group.header.dist_names.size()));
-  }
-  RequireRowsFit(group);
-  const DistGeometry& geometry = group.header.dist_geometries[dist];
-  out->clear();
-  out->reserve(group.header.n_rows);
-  std::vector<uint64_t> underflow, overflow, total;
-  std::vector<double> min, max, mean;
-  WalkExtents(group, [&](ByteReader& reader, size_t rows) {
-    for (size_t c = 0; c < group.header.scalar_names.size(); ++c) {
-      SkipChunk(reader);
-    }
-    for (size_t d = 0; d < group.header.dist_names.size(); ++d) {
-      if (d != dist) {
-        for (int c = 0; c < 6; ++c) {
-          SkipChunk(reader);
-        }
-        SkipBinsBlock(reader);
-        continue;
-      }
-      DecodeU64Chunk(reader, rows, &underflow);
-      DecodeU64Chunk(reader, rows, &overflow);
-      DecodeU64Chunk(reader, rows, &total);
-      DecodeScalarChunk(reader, rows, &min);
-      DecodeScalarChunk(reader, rows, &max);
-      DecodeScalarChunk(reader, rows, &mean);
-      ByteReader bins = reader.GetRange(reader.GetVarint());
-      for (size_t r = 0; r < rows; ++r) {
-        DistributionSnapshot snapshot;
-        snapshot.lo = geometry.lo;
-        snapshot.bin_width = geometry.bin_width;
-        DecodeBins(bins, geometry.n_bins, &snapshot.bins);
-        snapshot.underflow = underflow[r];
-        snapshot.overflow = overflow[r];
-        snapshot.total = total[r];
-        snapshot.min = min[r];
-        snapshot.max = max[r];
-        snapshot.mean = mean[r];
-        out->push_back(std::move(snapshot));
-      }
-      if (bins.remaining() != 0) {
-        throw std::runtime_error(
-            "corrupt binary results file: histogram bin block longer than its rows");
-      }
-    }
-  });
-}
-
 void VisitScalarRows(const BinaryGroup& group,
                      const std::function<void(uint64_t, const std::vector<double>&)>& visit) {
   const size_t n_scalars = group.header.scalar_names.size();
@@ -247,6 +212,52 @@ void VisitScalarRows(const BinaryGroup& group,
         values[c] = columns[c][r];
       }
       visit(row_base + r, values);
+    }
+    row_base += rows;
+  });
+}
+
+void VisitDistRows(const BinaryGroup& group, size_t dist,
+                   const std::function<void(uint64_t, const DistributionSnapshot&)>& visit) {
+  if (dist >= group.header.dist_names.size()) {
+    throw std::out_of_range("distribution column " + std::to_string(dist) +
+                            " outside schema of " +
+                            std::to_string(group.header.dist_names.size()));
+  }
+  RequireRowsFit(group);
+  const DistGeometry& geometry = group.header.dist_geometries[dist];
+  DistributionSnapshot snapshot;
+  snapshot.lo = geometry.lo;
+  snapshot.bin_width = geometry.bin_width;
+  std::vector<uint64_t> underflow, overflow, total;
+  std::vector<double> min, max, mean;
+  uint64_t row_base = 0;
+  WalkExtents(group, [&](ByteReader& reader, size_t rows) {
+    for (size_t c = 0; c < group.header.scalar_names.size(); ++c) {
+      SkipChunk(reader);
+    }
+    SkipDistColumns(reader, dist);
+    DecodeU64Chunk(reader, rows, &underflow);
+    DecodeU64Chunk(reader, rows, &overflow);
+    DecodeU64Chunk(reader, rows, &total);
+    DecodeScalarChunk(reader, rows, &min);
+    DecodeScalarChunk(reader, rows, &max);
+    DecodeScalarChunk(reader, rows, &mean);
+    ByteReader bins = reader.GetRange(reader.GetVarint());
+    SkipDistColumns(reader, group.header.dist_names.size() - dist - 1);
+    for (size_t r = 0; r < rows; ++r) {
+      DecodeBins(bins, geometry.n_bins, &snapshot.bins);
+      snapshot.underflow = underflow[r];
+      snapshot.overflow = overflow[r];
+      snapshot.total = total[r];
+      snapshot.min = min[r];
+      snapshot.max = max[r];
+      snapshot.mean = mean[r];
+      visit(row_base + r, snapshot);
+    }
+    if (bins.remaining() != 0) {
+      throw std::runtime_error(
+          "corrupt binary results file: histogram bin block longer than its rows");
     }
     row_base += rows;
   });
@@ -417,16 +428,9 @@ std::string AggregateBinary(const std::vector<const BinaryResultsFile*>& files) 
   }
   const PooledPoints points = PoolGroups(files);
   std::string csv = SweepLongCsvHeader(files.front()->header.param_keys);
-  std::vector<double> column;
   for (const auto& [point_index, groups] : points) {
-    const BinaryGroupHeader& schema = groups.front()->header;
-    std::vector<MetricAggregate> aggregates;
-    aggregates.reserve(schema.scalar_names.size());
-    for (size_t c = 0; c < schema.scalar_names.size(); ++c) {
-      PoolColumn(groups, c, &column);
-      aggregates.push_back(AggregateScalarSamples(schema.scalar_names[c], std::move(column)));
-    }
-    csv += SweepLongCsvRows(schema.param_values, aggregates);
+    csv += SweepLongCsvRows(groups.front()->header.param_values,
+                            AggregateBucket(groups, {}, DecodeScalarColumn));
   }
   return csv;
 }

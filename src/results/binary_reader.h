@@ -1,12 +1,15 @@
 // Readers and out-of-core operations over WLSR binary result files
 // (binary_format.h): parse + CRC-verify, column-at-a-time decoding, shard
-// merge, byte-identical CSV export, and exact aggregation. These back the
-// campaign engine's per-point fold, the wlansim_results CLI and the query
-// server.
+// merge, byte-identical CSV export, and exact aggregation. Every
+// aggregate is one function, AggregateBucket: the campaign engine's
+// per-point fold, `wlansim_results aggregate` and the query server's
+// SELECT all call it, so served and offline bytes agree by construction
+// (invariant #8 in docs/architecture.md).
 //
 // The operations never materialize the row set: decoding walks one extent
 // (kExtentRows rows) or one column at a time, so aggregating a
-// 10^6-replication file costs one metric column of memory, not the table.
+// 10^6-replication file costs one metric column of memory, not the table,
+// and a histogram merge costs one row's snapshot.
 
 #ifndef WLANSIM_RESULTS_BINARY_READER_H_
 #define WLANSIM_RESULTS_BINARY_READER_H_
@@ -14,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -56,15 +60,18 @@ BinaryResultsFile ReadBinaryResultsFile(const std::string& path);
 // header.n_rows rows, before sizing anything by it.
 void ReadScalarColumn(const BinaryGroup& group, size_t column, std::vector<double>* out);
 
-// Decodes distribution column `dist` (index into header.dist_names) of one
-// group: header.n_rows full snapshots, exact bin counts included.
-void ReadDistColumn(const BinaryGroup& group, size_t dist, std::vector<DistributionSnapshot>* out);
-
 // Calls visit(row_index, values) for every row of the group in replication
 // order, decoding extent by extent; `values` is aligned with
 // header.scalar_names and reused between calls.
 void VisitScalarRows(const BinaryGroup& group,
                      const std::function<void(uint64_t, const std::vector<double>&)>& visit);
+
+// Calls visit(row_index, snapshot) for every row of distribution column
+// `dist` (index into header.dist_names) in replication order, decoding
+// extent by extent; `snapshot` carries the row's exact bin counts and is
+// reused between calls. Throws std::runtime_error like the column readers.
+void VisitDistRows(const BinaryGroup& group, size_t dist,
+                   const std::function<void(uint64_t, const DistributionSnapshot&)>& visit);
 
 // Human-readable schema + group summary (the `inspect` subcommand). The
 // kind it prints is derived from the axis count.
@@ -104,21 +111,31 @@ void WriteReplicationCsv(const BinaryGroup& group, std::ostream& out);
 // file.
 void ExportBinaryCsv(const BinaryResultsFile& file, std::ostream& out);
 
-// Exact per-metric aggregates of one group, one column at a time: the fold
-// the campaign engine runs on every finished grid point, so a run's --csv
-// and the offline tools print the same bytes.
-std::vector<MetricAggregate> AggregateGroup(const BinaryGroup& group);
+// A group's decoded scalar column, exactly as ReadScalarColumn returns it,
+// and where a bucket fold gets one: the query server's ExtentCache, or
+// DecodeScalarColumn, a fresh decode per call.
+using ColumnPtr = std::shared_ptr<const std::vector<double>>;
+using ScalarColumnSource = std::function<ColumnPtr(const BinaryGroup&, size_t column)>;
+ColumnPtr DecodeScalarColumn(const BinaryGroup& group, size_t column);
 
-// Aggregates across files without materializing rows: per grid point of
-// PoolGroups(files) and per metric, AggregateScalarSamples over the
-// point's pooled column. Output is the run's own --csv format, the
-// long-format CSV keyed by the sweep axes (none for a campaign).
+// The one fold behind every aggregate: per metric, the columns of the
+// (non-empty) `members` pooled in member order, then AggregateScalarSamples.
+// `metrics` empty means the first member's own scalar columns, which every
+// member must share. The campaign engine folds each finished grid point as
+// the one-group bucket, so a run's --csv and the offline tools print the
+// same bytes. Throws std::runtime_error when a member lacks a metric or
+// the members disagree on the implicit metric set.
+std::vector<MetricAggregate> AggregateBucket(const std::vector<const BinaryGroup*>& members,
+                                             const std::vector<std::string>& metrics,
+                                             const ScalarColumnSource& source);
+
+// Aggregates across files without materializing rows: AggregateBucket of
+// each PoolGroups(files) point, all of the point's metrics, decoded
+// directly. Output is the run's own --csv format, the long-format CSV
+// keyed by the sweep axes (none for a campaign).
 std::string AggregateBinary(const std::vector<BinaryResultsFile>& files);
 
-// The same operation over borrowed files (none may be null). This is the
-// overload the query server calls: its catalog owns the parsed files, and
-// served answers must be byte-identical to the offline path, so both
-// spellings run literally the same code.
+// The same operation over borrowed files (none may be null).
 std::string AggregateBinary(const std::vector<const BinaryResultsFile*>& files);
 
 }  // namespace wlansim

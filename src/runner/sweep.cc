@@ -444,7 +444,7 @@ void RunSweepCampaign(const SweepOptions& options) {
     done.info = std::move(state.info);
     done.group = state.encoder.Finish();
     points[p].reset();
-    done.aggregates = AggregateGroup(done.group);
+    done.aggregates = AggregateBucket({&done.group}, {}, DecodeScalarColumn);
     done_points.Deliver(p, std::move(done), [&](const DonePoint& head) {
       for (SweepPointSink* sink : options.point_sinks) {
         sink->OnPointDone(head.info, head.aggregates, head.group);

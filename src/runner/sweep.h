@@ -12,8 +12,9 @@
 // Each point's records are reordered (runner/reorder.h) into replication
 // order and land in that point's WLSR GroupEncoder, the only record store.
 // When the point's last replication lands, the engine folds the finished
-// group one column at a time (AggregateGroup: exact quantiles at any
-// replication count) and hands group and aggregates to the point sinks —
+// group one column at a time (AggregateBucket of the one-group bucket, the
+// fold the offline aggregate and the query server run: exact quantiles at
+// any replication count) and hands group and aggregates to the point sinks —
 // every output of a run is a point sink — and then frees the point. The
 // engine returns nothing: what outlives a point is what its sinks keep.
 

@@ -390,9 +390,7 @@ TEST(QueryEngine, HistMergesDistColumnsAcrossFilesExactly) {
       while (group.header.dist_names[dist] != "latency_hist") {
         ++dist;
       }
-      std::vector<DistributionSnapshot> snaps;
-      ReadDistColumn(group, dist, &snaps);
-      for (const DistributionSnapshot& s : snaps) {
+      VisitDistRows(group, dist, [&](uint64_t, const DistributionSnapshot& s) {
         total += s.total;
         underflow += s.underflow;
         overflow += s.overflow;
@@ -400,7 +398,7 @@ TEST(QueryEngine, HistMergesDistColumnsAcrossFilesExactly) {
         for (size_t i = 0; i < s.bins.size(); ++i) {
           bins[i] += s.bins[i];
         }
-      }
+      });
     }
   }
   ASSERT_GT(total, 0u);

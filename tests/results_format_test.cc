@@ -247,7 +247,10 @@ TEST(BinaryReader, HistogramSnapshotsSurviveTheRoundTrip) {
   EXPECT_EQ(header.dist_names[0], "latency_hist");
 
   std::vector<DistributionSnapshot> decoded;
-  ReadDistColumn(file.groups[0], 0, &decoded);
+  VisitDistRows(file.groups[0], 0, [&](uint64_t row, const DistributionSnapshot& snapshot) {
+    EXPECT_EQ(row, decoded.size());
+    decoded.push_back(snapshot);
+  });
   ASSERT_EQ(decoded.size(), options.replications);
   for (size_t i = 0; i < decoded.size(); ++i) {
     const DistributionSnapshot want = RunReplication(options, i).distributions.at("latency_hist");

@@ -6,7 +6,7 @@
 // insertion); half the mutants then get every group CRC recomputed, so the
 // decoder behind the CRC runs on damaged bytes too. Every mutant goes
 // through ParseBinaryResults, InspectBinary, ExportBinaryCsv,
-// AggregateBinary, ReadDistColumn and Catalog::RegisterFile (then the
+// AggregateBinary, VisitDistRows and Catalog::RegisterFile (then the
 // AGGREGATE and HIST queries the catalog serves). Damage must surface as a
 // std::runtime_error; any other exception is a failure, printed with the
 // mutant index that reproduces it.
@@ -161,11 +161,10 @@ Outcome Exercise(const std::string& bytes, const std::string& path, const std::s
   if (file) {
     outcome.parsed = true;
     check("InspectBinary", [&] { InspectBinary(*file); });
-    check("ReadDistColumn", [&] {
-      std::vector<DistributionSnapshot> snapshots;
+    check("VisitDistRows", [&] {
       for (const BinaryGroup& group : file->groups) {
         for (size_t d = 0; d < group.header.dist_names.size(); ++d) {
-          ReadDistColumn(group, d, &snapshots);
+          VisitDistRows(group, d, [](uint64_t, const DistributionSnapshot&) {});
         }
       }
     });
