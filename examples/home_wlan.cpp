@@ -20,7 +20,7 @@ using namespace wlansim;
 
 namespace {
 
-ReplicationResult RunHomeWlan(const ScenarioParams&, const ReplicationContext& ctx) {
+ReplicationResult RunHomeWlan(const ParamView& params, const ReplicationContext& ctx) {
   Network net(Network::Params{.seed = ctx.seed});
   net.UseLogDistanceLoss(3.2, /*shadowing_sigma_db=*/4.0);
 
@@ -81,7 +81,7 @@ ReplicationResult RunHomeWlan(const ScenarioParams&, const ReplicationContext& c
   router->AddTraffic<PoissonTraffic>(printer->address(), 4, 800, 20.0, net.ForkRng("print"))
       ->Start(Time::Seconds(2));
 
-  net.Run(Time::Seconds(12));
+  net.Run(Time::Seconds(params.GetDouble("sim_time_s")));
 
   const char* names[] = {"video", "web", "camera", "printer"};
   ReplicationResult out;
@@ -99,7 +99,7 @@ ReplicationResult RunHomeWlan(const ScenarioParams&, const ReplicationContext& c
 int main() {
   ScenarioRegistry::Global().Register(
       "home_wlan", "One WPA2 802.11g router serving four mixed-traffic home devices",
-      /*param_specs=*/{}, RunHomeWlan);
+      {{"sim_time_s", ParamType::kDouble, "12", "total simulation seconds"}}, RunHomeWlan);
 
   SweepOptions options;  // no sweep axes: a plain campaign
   options.scenario = "home_wlan";

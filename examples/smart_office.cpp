@@ -22,7 +22,7 @@ using namespace wlansim;
 
 namespace {
 
-ReplicationResult RunSmartOffice(const ScenarioParams&, const ReplicationContext& ctx) {
+ReplicationResult RunSmartOffice(const ParamView& params, const ReplicationContext& ctx) {
   Network net(Network::Params{.seed = ctx.seed});
   net.UseLogDistanceLoss(3.0);
 
@@ -81,7 +81,7 @@ ReplicationResult RunSmartOffice(const ScenarioParams&, const ReplicationContext
   config_push->SetPriority(0);
   config_push->Start(Time::Seconds(2));
 
-  net.Run(Time::Seconds(12));
+  net.Run(Time::Seconds(params.GetDouble("sim_time_s")));
 
   ReplicationResult out;
   const auto* voice = net.flow_stats().Find(1);
@@ -109,7 +109,7 @@ int main() {
   ScenarioRegistry::Global().Register(
       "smart_office",
       "EDCA voice + bulk contention plus a power-saving sensor with energy accounting",
-      /*param_specs=*/{}, RunSmartOffice);
+      {{"sim_time_s", ParamType::kDouble, "12", "total simulation seconds"}}, RunSmartOffice);
 
   SweepOptions options;  // no sweep axes: a plain campaign
   options.scenario = "smart_office";

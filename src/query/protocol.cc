@@ -1,5 +1,6 @@
 #include "query/protocol.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -9,6 +10,10 @@
 
 namespace wlansim {
 namespace {
+
+// Payload bytes ReadFrame reads (and commits memory for) ahead of what the
+// peer has sent.
+constexpr size_t kReadChunkBytes = 64u << 10;
 
 // Reads exactly n bytes. Returns false only on end-of-stream before the
 // first byte when eof_ok; throws on errors and mid-buffer EOF.
@@ -64,9 +69,18 @@ bool ReadFrame(int fd, std::string* payload) {
     throw std::runtime_error("frame length " + std::to_string(length) + " exceeds the " +
                              std::to_string(kMaxFrameBytes) + "-byte bound");
   }
-  payload->resize(length);
-  if (length > 0) {
-    ReadExact(fd, payload->data(), length, /*eof_ok=*/false);
+  // The buffer grows geometrically as payload bytes arrive, read at most one
+  // chunk at a time, so a bare length prefix pins one chunk, not `length`
+  // bytes. A frame of up to one chunk (every query) takes a single resize.
+  payload->clear();
+  size_t done = 0;
+  while (done < length) {
+    const size_t chunk = std::min<size_t>(kReadChunkBytes, length - done);
+    if (payload->size() < done + chunk) {
+      payload->resize(std::min<size_t>(length, std::max(done + chunk, 2 * payload->size())));
+    }
+    ReadExact(fd, payload->data() + done, chunk, /*eof_ok=*/false);
+    done += chunk;
   }
   return true;
 }

@@ -8,7 +8,9 @@
 //
 // Framing is a u32 little-endian payload length followed by the payload
 // bytes, bounded by kMaxFrameBytes so a corrupt length cannot make a peer
-// allocate unbounded memory.
+// allocate unbounded memory. A reader's buffer follows the bytes that
+// actually arrive, so a length prefix alone pins no more than a 64 KiB
+// chunk.
 
 #ifndef WLANSIM_QUERY_PROTOCOL_H_
 #define WLANSIM_QUERY_PROTOCOL_H_

@@ -68,7 +68,7 @@ void PrintUsage() {
       "                      exactly the unsharded file\n"
       "  --list              list registered scenarios\n"
       "  --version           print the build version and exit\n"
-      "  --describe=NAME     show a scenario's parameters and defaults\n"
+      "  --describe=NAME     show a scenario's parameters, types and defaults\n"
       "  --quiet             suppress the stdout table\n"
       "  --verbose           after the run, print hot-path diagnostic counters\n"
       "                      (packet bytes deep-copied in channel fan-out,\n"
@@ -98,9 +98,9 @@ int DescribeScenario(const std::string& name) {
     return 1;
   }
   std::printf("%s — %s\n\n", name.c_str(), std::string(scenario->description()).c_str());
-  Table table({"parameter", "default", "help"});
+  Table table({"parameter", "type", "default", "help"});
   for (const ParamSpec& spec : scenario->param_specs()) {
-    table.AddRow({spec.name, spec.default_value, spec.help});
+    table.AddRow({spec.name, std::string(ParamTypeName(spec.type)), spec.default_value, spec.help});
   }
   std::fputs(table.ToString().c_str(), stdout);
   return 0;
@@ -275,7 +275,6 @@ int Main(int argc, char** argv) {
   std::string json_path;
   std::string reps_csv_path;
   std::string binary_out_path;
-  std::vector<std::string> param_keys_seen;
   bool quiet = false;
   bool verbose = false;
 
@@ -335,16 +334,12 @@ int Main(int argc, char** argv) {
         return 1;
       }
       std::string key(v, eq);
-      for (const std::string& seen : param_keys_seen) {
-        if (seen == key) {
-          std::fprintf(stderr,
-                       "--param %s given twice; the second value would silently win\n",
-                       key.c_str());
-          return 1;
-        }
+      if (options.base_params.Has(key)) {
+        std::fprintf(stderr, "--param %s given twice; the second value would silently win\n",
+                     key.c_str());
+        return 1;
       }
-      param_keys_seen.push_back(key);
-      options.base_params.Set(key, std::string(eq + 1));
+      options.base_params.Set(std::move(key), std::string(eq + 1));
     } else if ((v = value_of(arg, "--sweep")) != nullptr ||
                (std::strcmp(arg, "--sweep") == 0 && i + 1 < argc && (v = argv[++i]) != nullptr)) {
       sweep_specs.emplace_back(v);

@@ -1,111 +1,117 @@
 #include "runner/scenario.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace wlansim {
 namespace {
 
-[[noreturn]] void ThrowBadValue(const std::string& key, const std::string& value,
-                                const char* expected) {
-  throw std::invalid_argument("parameter '" + key + "': cannot parse '" + value + "' as " +
-                             expected);
+// `text` parsed as `type`: the ParamValue alternative at index `type`.
+// Throws std::invalid_argument naming `key` when it does not parse.
+ParamValue Parse(std::string_view key, ParamType type, const std::string& text) {
+  const char* expected = "a number";
+  try {
+    size_t consumed = 0;
+    switch (type) {
+      case ParamType::kBool:
+        if (text == "1" || text == "true" || text == "yes" || text == "on") {
+          return true;
+        }
+        if (text == "0" || text == "false" || text == "no" || text == "off") {
+          return false;
+        }
+        expected = "a boolean (true/false)";
+        break;
+      case ParamType::kInt:
+      case ParamType::kUint: {
+        expected = "an integer";
+        const int64_t v = std::stoll(text, &consumed);
+        if (consumed != text.size()) {
+          break;
+        }
+        if (type == ParamType::kInt) {
+          return v;
+        }
+        // Counts, sizes, thresholds: a typo'd "-1" must not wrap to 2^64-1.
+        if (v >= 0) {
+          return static_cast<uint64_t>(v);
+        }
+        expected = "a non-negative integer";
+        break;
+      }
+      case ParamType::kDouble: {
+        const double v = std::stod(text, &consumed);
+        if (consumed == text.size()) {
+          return v;
+        }
+        break;
+      }
+      case ParamType::kString:
+        return text;
+    }
+  } catch (const std::logic_error&) {  // std::stoll/std::stod: no number, or out of range
+  }
+  throw std::invalid_argument("parameter '" + std::string(key) + "': cannot parse '" + text +
+                              "' as " + expected);
 }
 
 }  // namespace
 
-void ScenarioParams::Set(std::string key, std::string value) {
-  entries_[std::move(key)] = std::move(value);
-}
-
-bool ScenarioParams::Has(const std::string& key) const {
-  return entries_.count(key) != 0;
-}
-
-std::string ScenarioParams::GetString(const std::string& key, std::string def) const {
-  auto it = entries_.find(key);
-  return it == entries_.end() ? std::move(def) : it->second;
-}
-
-double ScenarioParams::GetDouble(const std::string& key, double def) const {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    return def;
+ParamValue ParamView::Value(std::string_view key, ParamType type) const {
+  const ParamSpec* spec = scenario_.FindSpec(key);
+  if (spec == nullptr || spec->type != type) {
+    throw std::logic_error("scenario '" + std::string(scenario_.name()) + "' reads " +
+                           std::string(ParamTypeName(type)) + " parameter '" + std::string(key) +
+                           "', declared " +
+                           (spec == nullptr ? "nowhere" : std::string(ParamTypeName(spec->type))));
   }
-  try {
-    size_t consumed = 0;
-    const double v = std::stod(it->second, &consumed);
-    if (consumed != it->second.size()) {
-      ThrowBadValue(key, it->second, "a number");
+  auto it = values_.entries().find(key);
+  return Parse(key, type, it == values_.entries().end() ? spec->default_value : it->second);
+}
+
+Scenario::Scenario(std::string name, std::string description,
+                   std::vector<ParamSpec> param_specs, RunFn fn)
+    : name_(std::move(name)),
+      description_(std::move(description)),
+      param_specs_(std::move(param_specs)),
+      fn_(std::move(fn)) {
+  for (const ParamSpec& spec : param_specs_) {
+    if (FindSpec(spec.name) != &spec) {
+      throw std::logic_error("scenario '" + name_ + "' declares parameter '" + spec.name +
+                             "' twice");
     }
-    return v;
-  } catch (const std::invalid_argument&) {
-    ThrowBadValue(key, it->second, "a number");
-  } catch (const std::out_of_range&) {
-    ThrowBadValue(key, it->second, "a number");
-  }
-}
-
-int64_t ScenarioParams::GetInt(const std::string& key, int64_t def) const {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    return def;
-  }
-  try {
-    size_t consumed = 0;
-    const int64_t v = std::stoll(it->second, &consumed);
-    if (consumed != it->second.size()) {
-      ThrowBadValue(key, it->second, "an integer");
+    try {
+      Parse(spec.name, spec.type, spec.default_value);
+    } catch (const std::invalid_argument& e) {
+      throw std::logic_error("scenario '" + name_ + "' default: " + e.what());
     }
-    return v;
-  } catch (const std::invalid_argument&) {
-    ThrowBadValue(key, it->second, "an integer");
-  } catch (const std::out_of_range&) {
-    ThrowBadValue(key, it->second, "an integer");
   }
 }
 
-uint64_t ScenarioParams::GetUint(const std::string& key, uint64_t def) const {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    return def;
+const ParamSpec* Scenario::FindSpec(std::string_view key) const {
+  for (const ParamSpec& spec : param_specs_) {
+    if (spec.name == key) {
+      return &spec;
+    }
   }
-  const int64_t v = GetInt(key, 0);
-  if (v < 0) {
-    ThrowBadValue(key, it->second, "a non-negative integer");
-  }
-  return static_cast<uint64_t>(v);
+  return nullptr;
 }
 
-bool ScenarioParams::GetBool(const std::string& key, bool def) const {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    return def;
+void Scenario::ValidateParam(const std::string& key, const std::string& value) const {
+  const ParamSpec* spec = FindSpec(key);
+  if (spec == nullptr) {
+    std::string msg = "scenario '" + name_ + "' has no parameter '" + key +
+                      "'; known parameters:";
+    for (const ParamSpec& s : param_specs_) {
+      msg += " " + s.name;
+    }
+    throw std::invalid_argument(msg);
   }
-  const std::string& v = it->second;
-  if (v == "1" || v == "true" || v == "yes" || v == "on") {
-    return true;
-  }
-  if (v == "0" || v == "false" || v == "no" || v == "off") {
-    return false;
-  }
-  ThrowBadValue(key, v, "a boolean (true/false)");
+  Parse(key, spec->type, value);
 }
 
 void Scenario::ValidateParams(const ScenarioParams& params) const {
-  const std::vector<ParamSpec> specs = param_specs();
   for (const auto& [key, value] : params.entries()) {
-    const bool known = std::any_of(specs.begin(), specs.end(),
-                                   [&key](const ParamSpec& s) { return s.name == key; });
-    if (!known) {
-      std::string msg = "scenario '" + std::string(name()) + "' has no parameter '" + key +
-                        "'; known parameters:";
-      for (const ParamSpec& s : specs) {
-        msg += " " + s.name;
-      }
-      throw std::invalid_argument(msg);
-    }
-    (void)value;
+    ValidateParam(key, value);
   }
 }
 

@@ -11,30 +11,43 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 namespace wlansim {
 
-// Typed view over "--param key=value" pairs. Values are kept as strings and
-// parsed on access; a malformed value throws std::invalid_argument naming the
-// key so the CLI can report it.
+// The type a parameter's values (and its default) must parse as.
+enum class ParamType { kBool, kInt, kUint, kDouble, kString };
+
+// A parsed parameter value: alternative i holds a value of ParamType i.
+using ParamValue = std::variant<bool, int64_t, uint64_t, double, std::string>;
+
+// One declared parameter of a scenario: the only place its type and default
+// are written. `default_value` is the text a "--param" value would be.
+struct ParamSpec {
+  std::string name;
+  ParamType type = ParamType::kString;
+  std::string default_value;
+  std::string help;
+};
+
+// "bool", "int", "uint", "double" or "string": `--describe`'s type column.
+inline std::string_view ParamTypeName(ParamType type) {
+  constexpr std::string_view kNames[] = {"bool", "int", "uint", "double", "string"};
+  return kNames[static_cast<size_t>(type)];
+}
+
+// The "--param key=value" strings supplied for one run, unparsed: checked
+// by Scenario::ValidateParams, read through a ParamView.
 class ScenarioParams {
  public:
-  void Set(std::string key, std::string value);
-  bool Has(const std::string& key) const;
+  void Set(std::string key, std::string value) { entries_[std::move(key)] = std::move(value); }
+  bool Has(const std::string& key) const { return entries_.count(key) != 0; }
 
-  std::string GetString(const std::string& key, std::string def) const;
-  double GetDouble(const std::string& key, double def) const;
-  int64_t GetInt(const std::string& key, int64_t def) const;
-  // Like GetInt but rejects negative values (counts, sizes, thresholds):
-  // without this, a typo'd "-1" would silently become 2^64-1 of something.
-  uint64_t GetUint(const std::string& key, uint64_t def) const;
-  bool GetBool(const std::string& key, bool def) const;
-
-  const std::map<std::string, std::string>& entries() const { return entries_; }
+  const std::map<std::string, std::string, std::less<>>& entries() const { return entries_; }
 
  private:
-  std::map<std::string, std::string> entries_;
+  std::map<std::string, std::string, std::less<>> entries_;
 };
 
 // Scalar metrics from one replication, keyed by metric name. std::map keeps
@@ -59,52 +72,72 @@ struct ReplicationContext {
   MetricRecorder* recorder = nullptr;
 };
 
-// One documented parameter of a scenario.
-struct ParamSpec {
-  std::string name;
-  std::string default_value;
-  std::string help;
+class Scenario;
+
+// Typed read access to one replication's parameters: the supplied value, or
+// the spec's default when there is none. A malformed supplied value throws
+// std::invalid_argument naming the key (ValidateParams refuses it first on
+// every CLI path). Reading an undeclared key, or a key through the getter of
+// another type, is a bug in the scenario and throws std::logic_error.
+class ParamView {
+ public:
+  ParamView(const Scenario& scenario, const ScenarioParams& values)
+      : scenario_(scenario), values_(values) {}
+  // The view keeps a reference: it must not outlive the values it reads.
+  ParamView(const Scenario&, ScenarioParams&&) = delete;
+
+  bool GetBool(std::string_view key) const { return std::get<bool>(Value(key, ParamType::kBool)); }
+  int64_t GetInt(std::string_view key) const {
+    return std::get<int64_t>(Value(key, ParamType::kInt));
+  }
+  // Rejects negative values: counts, sizes, thresholds.
+  uint64_t GetUint(std::string_view key) const {
+    return std::get<uint64_t>(Value(key, ParamType::kUint));
+  }
+  double GetDouble(std::string_view key) const {
+    return std::get<double>(Value(key, ParamType::kDouble));
+  }
+  std::string GetString(std::string_view key) const {
+    return std::get<std::string>(Value(key, ParamType::kString));
+  }
+
+ private:
+  ParamValue Value(std::string_view key, ParamType type) const;
+
+  const Scenario& scenario_;
+  const ScenarioParams& values_;
 };
 
+// A registered scenario: name, description, parameter table and the function
+// that runs one replication.
 class Scenario {
  public:
-  virtual ~Scenario() = default;
+  using RunFn = std::function<ReplicationResult(const ParamView&, const ReplicationContext&)>;
 
-  virtual std::string_view name() const = 0;
-  virtual std::string_view description() const = 0;
-  virtual std::vector<ParamSpec> param_specs() const { return {}; }
+  // Throws std::logic_error on a duplicate parameter name or a default that
+  // does not parse as its type.
+  Scenario(std::string name, std::string description, std::vector<ParamSpec> param_specs,
+           RunFn fn);
 
-  // Runs one replication. Must not touch global mutable state: the campaign
-  // runner calls this from multiple threads at once.
-  virtual ReplicationResult Run(const ScenarioParams& params,
-                                const ReplicationContext& ctx) const = 0;
+  std::string_view name() const { return name_; }
+  std::string_view description() const { return description_; }
+  const std::vector<ParamSpec>& param_specs() const { return param_specs_; }
+  // nullptr when no parameter `key` is declared.
+  const ParamSpec* FindSpec(std::string_view key) const;
 
-  // Rejects parameters that are not in param_specs() (catches typos before a
-  // campaign silently runs the default configuration N times).
-  void ValidateParams(const ScenarioParams& params) const;
-};
-
-// Function-backed scenario, the terse registration form used by the built-in
-// scenario table and by examples.
-class FunctionScenario final : public Scenario {
- public:
-  using RunFn =
-      std::function<ReplicationResult(const ScenarioParams&, const ReplicationContext&)>;
-
-  FunctionScenario(std::string name, std::string description,
-                   std::vector<ParamSpec> param_specs, RunFn fn)
-      : name_(std::move(name)),
-        description_(std::move(description)),
-        param_specs_(std::move(param_specs)),
-        fn_(std::move(fn)) {}
-
-  std::string_view name() const override { return name_; }
-  std::string_view description() const override { return description_; }
-  std::vector<ParamSpec> param_specs() const override { return param_specs_; }
-  ReplicationResult Run(const ScenarioParams& params,
-                        const ReplicationContext& ctx) const override {
-    return fn_(params, ctx);
+  // Runs one replication; unset parameters read as their spec defaults. Must
+  // not touch global mutable state: the campaign runner calls this from
+  // multiple threads at once.
+  ReplicationResult Run(const ScenarioParams& params, const ReplicationContext& ctx) const {
+    return fn_(ParamView(*this, params), ctx);
   }
+
+  // Throws std::invalid_argument when `key` is not declared (a typo must not
+  // silently run the default configuration N times) or `value` does not
+  // parse as its type.
+  void ValidateParam(const std::string& key, const std::string& value) const;
+  // ValidateParam over every supplied parameter.
+  void ValidateParams(const ScenarioParams& params) const;
 
  private:
   std::string name_;

@@ -5,24 +5,18 @@
 
 namespace wlansim {
 
-void ScenarioRegistry::Register(std::unique_ptr<Scenario> scenario) {
-  std::string name(scenario->name());
-  auto [it, inserted] = scenarios_.emplace(std::move(name), std::move(scenario));
-  if (!inserted) {
-    throw std::invalid_argument("scenario '" + it->first + "' registered twice");
-  }
-}
-
 void ScenarioRegistry::Register(std::string name, std::string description,
-                                std::vector<ParamSpec> param_specs,
-                                FunctionScenario::RunFn fn) {
-  Register(std::make_unique<FunctionScenario>(std::move(name), std::move(description),
-                                              std::move(param_specs), std::move(fn)));
+                                std::vector<ParamSpec> param_specs, Scenario::RunFn fn) {
+  if (scenarios_.count(name) != 0) {
+    throw std::invalid_argument("scenario '" + name + "' registered twice");
+  }
+  scenarios_.try_emplace(name, name, std::move(description), std::move(param_specs),
+                         std::move(fn));
 }
 
 const Scenario* ScenarioRegistry::Find(std::string_view name) const {
   auto it = scenarios_.find(name);
-  return it == scenarios_.end() ? nullptr : it->second.get();
+  return it == scenarios_.end() ? nullptr : &it->second;
 }
 
 std::vector<std::string> ScenarioRegistry::Names() const {

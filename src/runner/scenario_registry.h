@@ -7,7 +7,6 @@
 #define WLANSIM_RUNNER_SCENARIO_REGISTRY_H_
 
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,12 +17,10 @@ namespace wlansim {
 
 class ScenarioRegistry {
  public:
-  // Registers a scenario; throws std::invalid_argument on a duplicate name.
-  void Register(std::unique_ptr<Scenario> scenario);
-
-  // Terse registration of a function-backed scenario.
+  // Registers a scenario; throws std::invalid_argument on a duplicate name
+  // and std::logic_error on a bad parameter table (see Scenario).
   void Register(std::string name, std::string description, std::vector<ParamSpec> param_specs,
-                FunctionScenario::RunFn fn);
+                Scenario::RunFn fn);
 
   // nullptr when unknown.
   const Scenario* Find(std::string_view name) const;
@@ -35,7 +32,7 @@ class ScenarioRegistry {
   static ScenarioRegistry& Global();
 
  private:
-  std::map<std::string, std::unique_ptr<Scenario>, std::less<>> scenarios_;
+  std::map<std::string, Scenario, std::less<>> scenarios_;
 };
 
 // Implemented in scenarios.cc: registers every built-in scenario.

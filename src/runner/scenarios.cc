@@ -13,6 +13,8 @@
 namespace wlansim {
 namespace {
 
+using enum ParamType;
+
 PhyStandard ParseStandard(const std::string& s) {
   if (s == "11" || s == "802.11") {
     return PhyStandard::k80211;
@@ -59,25 +61,25 @@ ReplicationResult FromRunResult(const RunResult& r) {
 void RegisterSaturation(ScenarioRegistry& r) {
   r.Register(
       "saturation", "Saturated uplink BSS: n backlogged stations on a circle around one AP",
-      {{"standard", "11b", "PHY standard: 11/11b/11a/11g"},
-       {"n_stas", "1", "number of saturated stations"},
-       {"payload", "1500", "MSDU payload bytes"},
-       {"distance", "10", "station-AP distance in metres"},
-       {"rts_threshold", "65535", "RTS/CTS threshold in bytes (65535 = off)"},
-       {"cipher", "open", "link cipher: open/wep/tkip/ccmp"},
-       {"rate_index", "-1", "fixed rate index into the standard's mode table (-1 = highest)"},
-       {"sim_time_s", "6", "measured simulation seconds (after 1 s warmup)"}},
-      [](const ScenarioParams& params, const ReplicationContext& ctx) {
+      {{"standard", kString, "11b", "PHY standard: 11/11b/11a/11g"},
+       {"n_stas", kUint, "1", "number of saturated stations"},
+       {"payload", kUint, "1500", "MSDU payload bytes"},
+       {"distance", kDouble, "10", "station-AP distance in metres"},
+       {"rts_threshold", kUint, "65535", "RTS/CTS threshold in bytes (65535 = off)"},
+       {"cipher", kString, "open", "link cipher: open/wep/tkip/ccmp"},
+       {"rate_index", kInt, "-1", "fixed rate index into the standard's mode table (-1 = highest)"},
+       {"sim_time_s", kDouble, "6", "measured simulation seconds (after 1 s warmup)"}},
+      [](const ParamView& params, const ReplicationContext& ctx) {
         SaturationParams p;
-        p.standard = ParseStandard(params.GetString("standard", "11b"));
-        p.n_stas = static_cast<size_t>(params.GetUint("n_stas", 1));
-        p.payload = static_cast<size_t>(params.GetUint("payload", 1500));
-        p.distance = params.GetDouble("distance", 10.0);
-        p.rts_threshold = static_cast<uint32_t>(params.GetUint("rts_threshold", 65535));
-        p.cipher = ParseCipher(params.GetString("cipher", "open"));
-        const int64_t rate_index = params.GetInt("rate_index", -1);
+        p.standard = ParseStandard(params.GetString("standard"));
+        p.n_stas = static_cast<size_t>(params.GetUint("n_stas"));
+        p.payload = static_cast<size_t>(params.GetUint("payload"));
+        p.distance = params.GetDouble("distance");
+        p.rts_threshold = static_cast<uint32_t>(params.GetUint("rts_threshold"));
+        p.cipher = ParseCipher(params.GetString("cipher"));
+        const int64_t rate_index = params.GetInt("rate_index");
         p.rate_index = rate_index < 0 ? SIZE_MAX : static_cast<size_t>(rate_index);
-        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s", 6.0));
+        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s"));
         p.seed = ctx.seed;
         return FromRunResult(RunSaturationScenario(p));
       });
@@ -87,16 +89,16 @@ void RegisterHiddenTerminal(ScenarioRegistry& r) {
   r.Register(
       "hidden_terminal",
       "Two senders that cannot hear each other sharing one receiver (matrix loss)",
-      {{"hidden", "true", "remove the sender-sender link"},
-       {"rtscts", "false", "enable the RTS/CTS handshake"},
-       {"payload", "1500", "MSDU payload bytes"},
-       {"sim_time_s", "6", "measured simulation seconds (after 1 s warmup)"}},
-      [](const ScenarioParams& params, const ReplicationContext& ctx) {
+      {{"hidden", kBool, "true", "remove the sender-sender link"},
+       {"rtscts", kBool, "false", "enable the RTS/CTS handshake"},
+       {"payload", kUint, "1500", "MSDU payload bytes"},
+       {"sim_time_s", kDouble, "6", "measured simulation seconds (after 1 s warmup)"}},
+      [](const ParamView& params, const ReplicationContext& ctx) {
         HiddenTerminalParams p;
-        p.hidden = params.GetBool("hidden", true);
-        p.rtscts = params.GetBool("rtscts", false);
-        p.payload = static_cast<size_t>(params.GetUint("payload", 1500));
-        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s", 6.0));
+        p.hidden = params.GetBool("hidden");
+        p.rtscts = params.GetBool("rtscts");
+        p.payload = static_cast<size_t>(params.GetUint("payload"));
+        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s"));
         p.seed = ctx.seed;
         const HiddenTerminalResult res = RunHiddenTerminalScenario(p);
         ReplicationResult out;
@@ -112,14 +114,14 @@ void RegisterHiddenTerminal(ScenarioRegistry& r) {
 void RegisterEdca(ScenarioRegistry& r) {
   r.Register(
       "edca", "A VoIP flow (AC_VO) vs k saturating bulk uploaders (AC_BK), QoS on or off",
-      {{"qos", "true", "enable 802.11e EDCA"},
-       {"bulk_stations", "3", "number of saturating AC_BK stations"},
-       {"sim_time_s", "6", "measured simulation seconds (after 1 s warmup)"}},
-      [](const ScenarioParams& params, const ReplicationContext& ctx) {
+      {{"qos", kBool, "true", "enable 802.11e EDCA"},
+       {"bulk_stations", kUint, "3", "number of saturating AC_BK stations"},
+       {"sim_time_s", kDouble, "6", "measured simulation seconds (after 1 s warmup)"}},
+      [](const ParamView& params, const ReplicationContext& ctx) {
         EdcaQosParams p;
-        p.qos = params.GetBool("qos", true);
-        p.bulk_stations = static_cast<size_t>(params.GetUint("bulk_stations", 3));
-        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s", 6.0));
+        p.qos = params.GetBool("qos");
+        p.bulk_stations = static_cast<size_t>(params.GetUint("bulk_stations"));
+        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s"));
         p.seed = ctx.seed;
         const EdcaQosResult res = RunEdcaScenario(p);
         ReplicationResult out;
@@ -136,28 +138,27 @@ void RegisterCityGrid(ScenarioRegistry& r) {
       "city_grid",
       "City-scale co-channel BSS grid spread beyond one interference radius; "
       "exercises the channel's reception cutoff and spatial receiver grid",
-      {{"standard", "11b", "PHY standard: 11/11b/11a/11g"},
-       {"n_bss", "9", "number of co-channel BSSs on a square grid"},
-       {"stas_per_bss", "2", "saturated stations per BSS"},
-       {"bss_spacing", "120", "AP grid spacing in metres"},
-       {"sta_radius", "10", "station-AP distance in metres"},
-       {"cutoff_dbm", "-100", "reception cutoff in dBm"},
-       {"spatial", "false",
+      {{"standard", kString, "11b", "PHY standard: 11/11b/11a/11g"},
+       {"n_bss", kUint, "9", "number of co-channel BSSs on a square grid"},
+       {"stas_per_bss", kUint, "2", "saturated stations per BSS"},
+       {"bss_spacing", kDouble, "120", "AP grid spacing in metres"},
+       {"sta_radius", kDouble, "10", "station-AP distance in metres"},
+       {"cutoff_dbm", kDouble, "-100", "reception cutoff in dBm"},
+       {"spatial", kBool, "false",
         "ignored: the channel always uses its spatial receiver grid (parsed for "
         "old command lines; removed with the next benchmark change)"},
-       {"payload", "1000", "MSDU payload bytes"},
-       {"sim_time_s", "2", "measured simulation seconds (after 1 s warmup)"}},
-      [](const ScenarioParams& params, const ReplicationContext& ctx) {
+       {"payload", kUint, "1000", "MSDU payload bytes"},
+       {"sim_time_s", kDouble, "2", "measured simulation seconds (after 1 s warmup)"}},
+      [](const ParamView& params, const ReplicationContext& ctx) {
         CityGridParams p;
-        p.standard = ParseStandard(params.GetString("standard", "11b"));
-        p.n_bss = static_cast<size_t>(params.GetUint("n_bss", 9));
-        p.stas_per_bss = static_cast<size_t>(params.GetUint("stas_per_bss", 2));
-        p.bss_spacing = params.GetDouble("bss_spacing", 120.0);
-        p.sta_radius = params.GetDouble("sta_radius", 10.0);
-        p.cutoff_dbm = params.GetDouble("cutoff_dbm", -100.0);
-        params.GetBool("spatial", false);  // parsed so a malformed value still errors
-        p.payload = static_cast<size_t>(params.GetUint("payload", 1000));
-        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s", 2.0));
+        p.standard = ParseStandard(params.GetString("standard"));
+        p.n_bss = static_cast<size_t>(params.GetUint("n_bss"));
+        p.stas_per_bss = static_cast<size_t>(params.GetUint("stas_per_bss"));
+        p.bss_spacing = params.GetDouble("bss_spacing");
+        p.sta_radius = params.GetDouble("sta_radius");
+        p.cutoff_dbm = params.GetDouble("cutoff_dbm");
+        p.payload = static_cast<size_t>(params.GetUint("payload"));
+        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s"));
         p.seed = ctx.seed;
         const CityGridResult res = RunCityGridScenario(p);
         ReplicationResult out = FromRunResult(res.run);
@@ -178,22 +179,23 @@ void RegisterRateVsDistance(ScenarioRegistry& r) {
   r.Register(
       "rate_vs_distance",
       "Single saturated link at a given distance, fixed rate or a rate-control algorithm",
-      {{"standard", "11b", "PHY standard: 11/11b/11a/11g"},
-       {"distance", "60", "link distance in metres"},
-       {"controller", "", "rate controller: arf/aarf/onoe/samplerate/minstrel (empty = fixed)"},
-       {"rate_index", "0", "fixed rate index (when controller is empty)"},
-       {"fading", "false", "apply per-frame Rayleigh block fading"},
-       {"payload", "1200", "MSDU payload bytes"},
-       {"sim_time_s", "4", "measured simulation seconds (after 1 s warmup)"}},
-      [](const ScenarioParams& params, const ReplicationContext& ctx) {
+      {{"standard", kString, "11b", "PHY standard: 11/11b/11a/11g"},
+       {"distance", kDouble, "60", "link distance in metres"},
+       {"controller", kString, "",
+        "rate controller: arf/aarf/onoe/samplerate/minstrel (empty = fixed)"},
+       {"rate_index", kUint, "0", "fixed rate index (when controller is empty)"},
+       {"fading", kBool, "false", "apply per-frame Rayleigh block fading"},
+       {"payload", kUint, "1200", "MSDU payload bytes"},
+       {"sim_time_s", kDouble, "4", "measured simulation seconds (after 1 s warmup)"}},
+      [](const ParamView& params, const ReplicationContext& ctx) {
         LinkParams p;
-        p.standard = ParseStandard(params.GetString("standard", "11b"));
-        p.distance = params.GetDouble("distance", 60.0);
-        p.controller = params.GetString("controller", "");
-        p.rate_index = static_cast<size_t>(params.GetUint("rate_index", 0));
-        p.rayleigh_fading = params.GetBool("fading", false);
-        p.payload = static_cast<size_t>(params.GetUint("payload", 1200));
-        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s", 4.0));
+        p.standard = ParseStandard(params.GetString("standard"));
+        p.distance = params.GetDouble("distance");
+        p.controller = params.GetString("controller");
+        p.rate_index = static_cast<size_t>(params.GetUint("rate_index"));
+        p.rayleigh_fading = params.GetBool("fading");
+        p.payload = static_cast<size_t>(params.GetUint("payload"));
+        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s"));
         p.seed = ctx.seed;
         return FromRunResult(RunLinkScenario(p));
       });
@@ -203,25 +205,25 @@ void RegisterDenseMultiBss(ScenarioRegistry& r) {
   r.Register(
       "dense_multi_bss",
       "Dense co-channel multi-BSS grid: n APs with m saturated uplink stations each",
-      {{"standard", "11b", "PHY standard: 11/11b/11a/11g"},
-       {"n_bss", "3", "number of co-channel BSSs on a square grid"},
-       {"stas_per_bss", "4", "saturated stations per BSS"},
-       {"bss_spacing", "25", "AP grid spacing in metres"},
-       {"sta_radius", "8", "station-AP distance in metres"},
-       {"payload", "1000", "MSDU payload bytes"},
-       {"sta_hist", "false",
+      {{"standard", kString, "11b", "PHY standard: 11/11b/11a/11g"},
+       {"n_bss", kUint, "3", "number of co-channel BSSs on a square grid"},
+       {"stas_per_bss", kUint, "4", "saturated stations per BSS"},
+       {"bss_spacing", kDouble, "25", "AP grid spacing in metres"},
+       {"sta_radius", kDouble, "8", "station-AP distance in metres"},
+       {"payload", kUint, "1000", "MSDU payload bytes"},
+       {"sta_hist", kBool, "false",
         "record the per-station goodput histogram (adds per_sta_mbps_* fairness metrics)"},
-       {"sta_hist_max", "8", "per-station histogram range upper bound in Mb/s (64 bins)"},
-       {"sim_time_s", "4", "measured simulation seconds (after 1 s warmup)"}},
-      [](const ScenarioParams& params, const ReplicationContext& ctx) {
+       {"sta_hist_max", kDouble, "8", "per-station histogram range upper bound in Mb/s (64 bins)"},
+       {"sim_time_s", kDouble, "4", "measured simulation seconds (after 1 s warmup)"}},
+      [](const ParamView& params, const ReplicationContext& ctx) {
         DenseMultiBssParams p;
-        p.standard = ParseStandard(params.GetString("standard", "11b"));
-        p.n_bss = static_cast<size_t>(params.GetUint("n_bss", 3));
-        p.stas_per_bss = static_cast<size_t>(params.GetUint("stas_per_bss", 4));
-        p.bss_spacing = params.GetDouble("bss_spacing", 25.0);
-        p.sta_radius = params.GetDouble("sta_radius", 8.0);
-        p.payload = static_cast<size_t>(params.GetUint("payload", 1000));
-        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s", 4.0));
+        p.standard = ParseStandard(params.GetString("standard"));
+        p.n_bss = static_cast<size_t>(params.GetUint("n_bss"));
+        p.stas_per_bss = static_cast<size_t>(params.GetUint("stas_per_bss"));
+        p.bss_spacing = params.GetDouble("bss_spacing");
+        p.sta_radius = params.GetDouble("sta_radius");
+        p.payload = static_cast<size_t>(params.GetUint("payload"));
+        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s"));
         p.seed = ctx.seed;
         const DenseMultiBssResult res = RunDenseMultiBssScenario(p);
         // The fairness view of the dense grid: a histogram over each
@@ -230,8 +232,8 @@ void RegisterDenseMultiBss(ScenarioRegistry& r) {
         // rows gain per_sta_mbps_{p10,p50,p90,mean,min,max}. Opt-in
         // (sta_hist=true) so the default column set — and therefore every
         // historical CSV — is unchanged.
-        if (params.GetBool("sta_hist", false) && ctx.recorder != nullptr) {
-          const double hist_max = params.GetDouble("sta_hist_max", 8.0);
+        if (params.GetBool("sta_hist") && ctx.recorder != nullptr) {
+          const double hist_max = params.GetDouble("sta_hist_max");
           if (hist_max <= 0.0) {
             throw std::invalid_argument("sta_hist_max must be > 0");
           }
@@ -248,22 +250,23 @@ void RegisterPipelineProbe(ScenarioRegistry& r) {
   r.Register(
       "pipeline_probe",
       "Synthetic microsecond-scale scenario: deterministic pseudo-random metrics, no simulation",
-      {{"n_metrics", "3", "number of value_<k> metrics emitted per replication"},
-       {"samples", "64", "uniform draws averaged into each metric"},
-       {"gauge", "false", "also stream the draws through a recorder gauge (latency_us_*)"},
-       {"counters", "0", "count-style count_<c> metrics: integral, ~1e7 base with a small "
-                         "per-replication jitter (the shape packet/byte counters have)"},
-       {"hist", "false", "also record the draws into a fixed-bin latency_hist histogram"}},
-      [](const ScenarioParams& params, const ReplicationContext& ctx) {
+      {{"n_metrics", kUint, "3", "number of value_<k> metrics emitted per replication"},
+       {"samples", kUint, "64", "uniform draws averaged into each metric"},
+       {"gauge", kBool, "false", "also stream the draws through a recorder gauge (latency_us_*)"},
+       {"counters", kUint, "0",
+        "count-style count_<c> metrics: integral, ~1e7 base with a small "
+        "per-replication jitter (the shape packet/byte counters have)"},
+       {"hist", kBool, "false", "also record the draws into a fixed-bin latency_hist histogram"}},
+      [](const ParamView& params, const ReplicationContext& ctx) {
         // Exists for the results pipeline itself: a 10^4..10^6-replication
         // campaign of it runs in seconds, so CI can gate streaming-mode
         // determinism and row counts at scale without burning minutes of
         // simulated airtime. Metrics are a pure function of ctx.seed.
-        const uint64_t n_metrics = params.GetUint("n_metrics", 3);
-        const uint64_t samples = params.GetUint("samples", 64);
-        const bool gauge = params.GetBool("gauge", false);
-        const uint64_t counters = params.GetUint("counters", 0);
-        const bool hist = params.GetBool("hist", false);
+        const uint64_t n_metrics = params.GetUint("n_metrics");
+        const uint64_t samples = params.GetUint("samples");
+        const bool gauge = params.GetBool("gauge");
+        const uint64_t counters = params.GetUint("counters");
+        const bool hist = params.GetBool("hist");
         Rng rng(ctx.seed);
         ReplicationResult out;
         if (hist && ctx.recorder != nullptr) {
@@ -300,14 +303,14 @@ void RegisterIsmInterference(ScenarioRegistry& r) {
   r.Register(
       "ism_interference",
       "A saturated 12 m link sharing the band with a microwave oven at a given distance",
-      {{"standard", "11b", "PHY standard (11a moves to 5 GHz and is immune)"},
-       {"oven_distance", "3", "oven-receiver distance in metres (0 = no oven)"},
-       {"sim_time_s", "6", "measured simulation seconds (after 1 s warmup)"}},
-      [](const ScenarioParams& params, const ReplicationContext& ctx) {
+      {{"standard", kString, "11b", "PHY standard (11a moves to 5 GHz and is immune)"},
+       {"oven_distance", kDouble, "3", "oven-receiver distance in metres (0 = no oven)"},
+       {"sim_time_s", kDouble, "6", "measured simulation seconds (after 1 s warmup)"}},
+      [](const ParamView& params, const ReplicationContext& ctx) {
         IsmParams p;
-        p.standard = ParseStandard(params.GetString("standard", "11b"));
-        p.oven_distance = params.GetDouble("oven_distance", 3.0);
-        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s", 6.0));
+        p.standard = ParseStandard(params.GetString("standard"));
+        p.oven_distance = params.GetDouble("oven_distance");
+        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s"));
         p.seed = ctx.seed;
         return FromRunResult(RunIsmInterferenceScenario(p));
       });
@@ -318,29 +321,29 @@ void RegisterSensorCoexistence(ScenarioRegistry& r) {
       "sensor_coexistence",
       "Heterogeneous coexistence: a WiFi BSS, an 802.15.4-style sensor cluster and an "
       "optional LoRa-like jammer sharing one 2.4 GHz channel",
-      {{"standard", "11b", "WiFi PHY standard: 11/11b/11a/11g"},
-       {"n_stas", "1", "saturated WiFi uplink stations"},
-       {"n_sensors", "4", "sensor radios reporting to the sink"},
-       {"sensor_radius", "6", "reporter-sink distance in metres"},
-       {"cluster_offset", "5", "sink's distance from the AP in metres"},
-       {"report_interval_ms", "25", "sensor report period in milliseconds"},
-       {"with_jammer", "false", "add a duty-cycled LoRa-like interferer to the cluster"},
-       {"jammer_duty_pct", "5", "jammer on-air share in percent"},
-       {"payload", "1000", "WiFi MSDU payload bytes"},
-       {"sim_time_s", "4", "measured simulation seconds (after 1 s warmup)"}},
-      [](const ScenarioParams& params, const ReplicationContext& ctx) {
+      {{"standard", kString, "11b", "WiFi PHY standard: 11/11b/11a/11g"},
+       {"n_stas", kUint, "1", "saturated WiFi uplink stations"},
+       {"n_sensors", kUint, "4", "sensor radios reporting to the sink"},
+       {"sensor_radius", kDouble, "6", "reporter-sink distance in metres"},
+       {"cluster_offset", kDouble, "5", "sink's distance from the AP in metres"},
+       {"report_interval_ms", kDouble, "25", "sensor report period in milliseconds"},
+       {"with_jammer", kBool, "false", "add a duty-cycled LoRa-like interferer to the cluster"},
+       {"jammer_duty_pct", kDouble, "5", "jammer on-air share in percent"},
+       {"payload", kUint, "1000", "WiFi MSDU payload bytes"},
+       {"sim_time_s", kDouble, "4", "measured simulation seconds (after 1 s warmup)"}},
+      [](const ParamView& params, const ReplicationContext& ctx) {
         SensorCoexistenceParams p;
-        p.standard = ParseStandard(params.GetString("standard", "11b"));
-        p.n_stas = static_cast<size_t>(params.GetUint("n_stas", 1));
-        p.n_sensors = static_cast<size_t>(params.GetUint("n_sensors", 4));
-        p.sensor_radius = params.GetDouble("sensor_radius", 6.0);
-        p.cluster_offset = params.GetDouble("cluster_offset", 5.0);
+        p.standard = ParseStandard(params.GetString("standard"));
+        p.n_stas = static_cast<size_t>(params.GetUint("n_stas"));
+        p.n_sensors = static_cast<size_t>(params.GetUint("n_sensors"));
+        p.sensor_radius = params.GetDouble("sensor_radius");
+        p.cluster_offset = params.GetDouble("cluster_offset");
         p.report_interval = Time::Millis(
-            static_cast<int64_t>(params.GetDouble("report_interval_ms", 25.0)));
-        p.with_jammer = params.GetBool("with_jammer", false);
-        p.jammer_duty_pct = params.GetDouble("jammer_duty_pct", 5.0);
-        p.payload = static_cast<size_t>(params.GetUint("payload", 1000));
-        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s", 4.0));
+            static_cast<int64_t>(params.GetDouble("report_interval_ms")));
+        p.with_jammer = params.GetBool("with_jammer");
+        p.jammer_duty_pct = params.GetDouble("jammer_duty_pct");
+        p.payload = static_cast<size_t>(params.GetUint("payload"));
+        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s"));
         p.seed = ctx.seed;
         const SensorCoexistenceResult res = RunSensorCoexistenceScenario(p);
         ReplicationResult out = FromRunResult(res.wifi);
@@ -360,18 +363,18 @@ void RegisterLoraCoexistence(ScenarioRegistry& r) {
       "lora_coexistence",
       "A saturated WiFi link sharing the channel with a duty-cycled LoRa-like "
       "narrowband interferer",
-      {{"standard", "11b", "WiFi PHY standard: 11/11b/11a/11g"},
-       {"jammer_distance", "5", "jammer-receiver distance in metres"},
-       {"duty_pct", "1", "jammer on-air share in percent"},
-       {"airtime_ms", "60", "airtime of one chirp frame in milliseconds"},
-       {"sim_time_s", "6", "measured simulation seconds (after 1 s warmup)"}},
-      [](const ScenarioParams& params, const ReplicationContext& ctx) {
+      {{"standard", kString, "11b", "WiFi PHY standard: 11/11b/11a/11g"},
+       {"jammer_distance", kDouble, "5", "jammer-receiver distance in metres"},
+       {"duty_pct", kDouble, "1", "jammer on-air share in percent"},
+       {"airtime_ms", kDouble, "60", "airtime of one chirp frame in milliseconds"},
+       {"sim_time_s", kDouble, "6", "measured simulation seconds (after 1 s warmup)"}},
+      [](const ParamView& params, const ReplicationContext& ctx) {
         LoraCoexistenceParams p;
-        p.standard = ParseStandard(params.GetString("standard", "11b"));
-        p.jammer_distance = params.GetDouble("jammer_distance", 5.0);
-        p.duty_pct = params.GetDouble("duty_pct", 1.0);
-        p.airtime = Time::Millis(static_cast<int64_t>(params.GetDouble("airtime_ms", 60.0)));
-        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s", 6.0));
+        p.standard = ParseStandard(params.GetString("standard"));
+        p.jammer_distance = params.GetDouble("jammer_distance");
+        p.duty_pct = params.GetDouble("duty_pct");
+        p.airtime = Time::Millis(static_cast<int64_t>(params.GetDouble("airtime_ms")));
+        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s"));
         p.seed = ctx.seed;
         const LoraCoexistenceResult res = RunLoraCoexistenceScenario(p);
         ReplicationResult out = FromRunResult(res.wifi);
@@ -384,14 +387,14 @@ void RegisterLoraCoexistence(ScenarioRegistry& r) {
 void RegisterAdhocVsInfra(ScenarioRegistry& r) {
   r.Register(
       "adhoc_vs_infra", "n CBR pairs exchanging traffic peer-to-peer or relayed through an AP",
-      {{"adhoc", "true", "true = IBSS peer-to-peer, false = relay through an AP"},
-       {"n_pairs", "2", "number of CBR source/sink pairs"},
-       {"sim_time_s", "8", "measured simulation seconds (after 1 s warmup)"}},
-      [](const ScenarioParams& params, const ReplicationContext& ctx) {
+      {{"adhoc", kBool, "true", "true = IBSS peer-to-peer, false = relay through an AP"},
+       {"n_pairs", kUint, "2", "number of CBR source/sink pairs"},
+       {"sim_time_s", kDouble, "8", "measured simulation seconds (after 1 s warmup)"}},
+      [](const ParamView& params, const ReplicationContext& ctx) {
         AdhocInfraParams p;
-        p.adhoc = params.GetBool("adhoc", true);
-        p.n_pairs = static_cast<size_t>(params.GetUint("n_pairs", 2));
-        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s", 8.0));
+        p.adhoc = params.GetBool("adhoc");
+        p.n_pairs = static_cast<size_t>(params.GetUint("n_pairs"));
+        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s"));
         p.seed = ctx.seed;
         const AdhocInfraResult res = RunAdhocInfraScenario(p);
         ReplicationResult out;
@@ -406,14 +409,14 @@ void RegisterCoexistence(ScenarioRegistry& r) {
   r.Register(
       "coexistence",
       "802.11b/g coexistence: a saturated g STA with an optional legacy b STA and protection",
-      {{"with_b_sta", "true", "admit a legacy 802.11b station"},
-       {"protection", "false", "enable CTS-to-self protection"},
-       {"sim_time_s", "6", "measured simulation seconds (after 1 s warmup)"}},
-      [](const ScenarioParams& params, const ReplicationContext& ctx) {
+      {{"with_b_sta", kBool, "true", "admit a legacy 802.11b station"},
+       {"protection", kBool, "false", "enable CTS-to-self protection"},
+       {"sim_time_s", kDouble, "6", "measured simulation seconds (after 1 s warmup)"}},
+      [](const ParamView& params, const ReplicationContext& ctx) {
         CoexistenceParams p;
-        p.with_b_sta = params.GetBool("with_b_sta", true);
-        p.protection = params.GetBool("protection", false);
-        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s", 6.0));
+        p.with_b_sta = params.GetBool("with_b_sta");
+        p.protection = params.GetBool("protection");
+        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s"));
         p.seed = ctx.seed;
         const CoexistenceResult res = RunCoexistenceScenario(p);
         ReplicationResult out;
@@ -428,14 +431,14 @@ void RegisterFragmentation(ScenarioRegistry& r) {
   r.Register(
       "fragmentation",
       "Fragmentation threshold sweep point under an optional hidden burst jammer",
-      {{"jammed", "true", "add the hidden Poisson burst jammer"},
-       {"frag_threshold", "1024", "fragmentation threshold in bytes (2346 = off)"},
-       {"sim_time_s", "8", "measured simulation seconds (after 1 s warmup)"}},
-      [](const ScenarioParams& params, const ReplicationContext& ctx) {
+      {{"jammed", kBool, "true", "add the hidden Poisson burst jammer"},
+       {"frag_threshold", kUint, "1024", "fragmentation threshold in bytes (2346 = off)"},
+       {"sim_time_s", kDouble, "8", "measured simulation seconds (after 1 s warmup)"}},
+      [](const ParamView& params, const ReplicationContext& ctx) {
         FragmentationParams p;
-        p.jammed = params.GetBool("jammed", true);
-        p.frag_threshold = static_cast<uint32_t>(params.GetUint("frag_threshold", 1024));
-        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s", 8.0));
+        p.jammed = params.GetBool("jammed");
+        p.frag_threshold = static_cast<uint32_t>(params.GetUint("frag_threshold"));
+        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s"));
         p.seed = ctx.seed;
         const HiddenTerminalResult res = RunFragmentationScenario(p);
         ReplicationResult out;
@@ -451,20 +454,20 @@ void RegisterRoaming(ScenarioRegistry& r) {
   r.Register(
       "roaming",
       "ESS handoff: a station walking past 2-3 APs with a CBR uplink to the serving AP",
-      {{"n_aps", "2", "number of APs (2 or 3), channels 1/6/11"},
-       {"spacing", "160", "AP spacing in metres"},
-       {"speed", "10", "station speed in m/s"},
-       {"payload", "500", "uplink packet payload bytes"},
-       {"use_arf", "false", "use ARF rate control instead of the default"},
-       {"sim_time_s", "20", "total simulation seconds (traffic starts at 1 s)"}},
-      [](const ScenarioParams& params, const ReplicationContext& ctx) {
+      {{"n_aps", kUint, "2", "number of APs (2 or 3), channels 1/6/11"},
+       {"spacing", kDouble, "160", "AP spacing in metres"},
+       {"speed", kDouble, "10", "station speed in m/s"},
+       {"payload", kUint, "500", "uplink packet payload bytes"},
+       {"use_arf", kBool, "false", "use ARF rate control instead of the default"},
+       {"sim_time_s", kDouble, "20", "total simulation seconds (traffic starts at 1 s)"}},
+      [](const ParamView& params, const ReplicationContext& ctx) {
         RoamingParams p;
-        p.n_aps = static_cast<size_t>(params.GetUint("n_aps", 2));
-        p.spacing = params.GetDouble("spacing", 160.0);
-        p.speed = params.GetDouble("speed", 10.0);
-        p.payload = static_cast<size_t>(params.GetUint("payload", 500));
-        p.use_arf = params.GetBool("use_arf", false);
-        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s", 20.0));
+        p.n_aps = static_cast<size_t>(params.GetUint("n_aps"));
+        p.spacing = params.GetDouble("spacing");
+        p.speed = params.GetDouble("speed");
+        p.payload = static_cast<size_t>(params.GetUint("payload"));
+        p.use_arf = params.GetBool("use_arf");
+        p.sim_time = Time::Seconds(params.GetDouble("sim_time_s"));
         p.seed = ctx.seed;
         const RoamingResult res = RunRoamingScenario(p);
         ReplicationResult out;

@@ -339,8 +339,8 @@ void RunSweepCampaign(const SweepOptions& options) {
   const size_t total = options.grid.NumPoints();
   const auto [begin, end] = ShardRange(total, options.shard_index, options.shard_count);
 
-  // Validate the whole grid's keys up front (all points share them), so an
-  // unknown parameter fails fast even when this shard's slice is empty.
+  // Validate every key, and each axis value once (not per point), before any
+  // sink sees the run, even when this shard's slice is empty.
   const Scenario* scenario_ptr = ScenarioRegistry::Global().Find(options.scenario);
   if (scenario_ptr == nullptr) {
     std::string msg = "unknown scenario '" + options.scenario + "'; available:";
@@ -349,12 +349,11 @@ void RunSweepCampaign(const SweepOptions& options) {
     }
     throw std::invalid_argument(msg);
   }
-  {
-    ScenarioParams probe = options.base_params;
-    for (const auto& [key, value] : options.grid.Point(0)) {
-      probe.Set(key, value);
+  scenario_ptr->ValidateParams(options.base_params);
+  for (const SweepAxis& axis : options.grid.axes()) {
+    for (const std::string& value : axis.values) {
+      scenario_ptr->ValidateParam(axis.key, value);
     }
-    scenario_ptr->ValidateParams(probe);
   }
 
   // One global (point, rep) work queue: with per-point parallelism alone,

@@ -223,8 +223,9 @@ uint64_t SweepPointSeed(uint64_t base_seed,
 // options.replications replications of every grid point on options.jobs
 // threads, handing each finished point to options.point_sinks. Throws
 // std::invalid_argument for an unknown scenario (the message lists the
-// registered ones), an unknown or ambiguous parameter, an invalid shard
-// spec, or zero replications. A scenario exception, a replication whose
+// registered ones), an unknown or ambiguous parameter, a base or axis value
+// that does not parse as its declared type, an invalid shard spec, or zero
+// replications — all before any point sink's BeginSweep. A scenario exception, a replication whose
 // metric set differs from the first replication's, or a sink's exception is
 // rethrown on the calling thread.
 void RunSweepCampaign(const SweepOptions& options);

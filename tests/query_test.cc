@@ -22,6 +22,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "query/catalog.h"
@@ -681,6 +682,59 @@ int ConnectTo(const std::string& socket_path) {
   EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0)
       << socket_path;
   return fd;
+}
+
+// The 4-byte little-endian length prefix of a frame.
+std::string FramePrefix(uint32_t length) {
+  std::string prefix;
+  for (int shift = 0; shift < 32; shift += 8) {
+    prefix.push_back(static_cast<char>((length >> shift) & 0xff));
+  }
+  return prefix;
+}
+
+TEST(QueryProtocol, BareLengthPrefixDoesNotPinItsLength) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::string prefix = FramePrefix(255u << 20);
+  ASSERT_EQ(::write(fds[0], prefix.data(), prefix.size()), 4);
+  ::close(fds[0]);
+  std::string payload;
+  EXPECT_THROW(ReadFrame(fds[1], &payload), std::runtime_error);
+  EXPECT_LT(payload.capacity(), size_t{1} << 20);
+  ::close(fds[1]);
+}
+
+TEST(QueryProtocol, FramesWrittenOneByteAtATimeReadBackIntact) {
+  // A frame spanning several read chunks, then a query-sized one: the reader
+  // must reassemble both from 1-byte fragments and stay in step.
+  std::string big(2 * 65536 + 5, '\0');
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>((i * 131 + 7) & 0xff);
+  }
+  const std::string small = "AGGREGATE pipeline_probe:sweep";
+  const std::string wire = FramePrefix(static_cast<uint32_t>(big.size())) + big +
+                           FramePrefix(static_cast<uint32_t>(small.size())) + small;
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::thread writer([&wire, fd = fds[0]] {
+    for (const char byte : wire) {
+      if (::send(fd, &byte, 1, MSG_NOSIGNAL) != 1) {
+        break;
+      }
+    }
+    ::close(fd);
+  });
+  EXPECT_NO_THROW({
+    std::string payload;
+    EXPECT_TRUE(ReadFrame(fds[1], &payload));
+    EXPECT_EQ(payload, big);
+    EXPECT_TRUE(ReadFrame(fds[1], &payload));
+    EXPECT_EQ(payload, small);
+    EXPECT_FALSE(ReadFrame(fds[1], &payload));  // clean end of stream
+  });
+  ::close(fds[1]);  // a reader that stopped early must not leave the writer blocked
+  writer.join();
 }
 
 TEST(QueryServer, ServesOfflineIdenticalBytesAcrossThreadCountsAndConnections) {

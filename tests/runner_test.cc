@@ -6,7 +6,6 @@
 
 #include <bit>
 #include <cmath>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -48,33 +47,133 @@ TEST(Substream, DistinctAcrossIndexStreamAndSeed) {
   EXPECT_NE(SubstreamSeed(1, "s", 0), SubstreamSeed(2, "s", 0));
 }
 
-// --- ScenarioParams ------------------------------------------------------------
+// --- ScenarioParams and the parameter table ----------------------------------
+
+ReplicationResult RunNothing(const ParamView&, const ReplicationContext&) {
+  return ReplicationResult{};
+}
+
+// One parameter of every type, each with a non-trivial default.
+Scenario TypedScenario() {
+  return Scenario("typed", "every parameter type",
+                  {{"n", ParamType::kInt, "-7", "int"},
+                   {"count", ParamType::kUint, "3", "uint"},
+                   {"x", ParamType::kDouble, "0.25", "double"},
+                   {"flag", ParamType::kBool, "false", "bool"},
+                   {"name", ParamType::kString, "dflt", "string"}},
+                  RunNothing);
+}
 
 TEST(ScenarioParams, TypedGetters) {
+  const Scenario scenario = TypedScenario();
   ScenarioParams p;
   p.Set("n", "12");
   p.Set("x", "2.5");
   p.Set("flag", "true");
   p.Set("name", "hello");
-  EXPECT_EQ(p.GetInt("n", 0), 12);
-  EXPECT_DOUBLE_EQ(p.GetDouble("x", 0), 2.5);
-  EXPECT_TRUE(p.GetBool("flag", false));
-  EXPECT_EQ(p.GetString("name", ""), "hello");
-  // Defaults for absent keys.
-  EXPECT_EQ(p.GetInt("absent", 7), 7);
-  EXPECT_FALSE(p.GetBool("absent", false));
+  const ParamView view(scenario, p);
+  EXPECT_EQ(view.GetInt("n"), 12);
+  EXPECT_DOUBLE_EQ(view.GetDouble("x"), 2.5);
+  EXPECT_TRUE(view.GetBool("flag"));
+  EXPECT_EQ(view.GetString("name"), "hello");
+  // Defaults for absent keys, from the spec.
+  EXPECT_EQ(view.GetUint("count"), 3u);
+  const ScenarioParams none;
+  EXPECT_FALSE(ParamView(scenario, none).GetBool("flag"));
 }
 
 TEST(ScenarioParams, MalformedValuesThrow) {
+  const Scenario scenario = TypedScenario();
   ScenarioParams p;
   p.Set("n", "12abc");
-  p.Set("b", "maybe");
-  p.Set("neg", "-3");
-  EXPECT_THROW(p.GetInt("n", 0), std::invalid_argument);
-  EXPECT_THROW(p.GetBool("b", false), std::invalid_argument);
+  p.Set("flag", "maybe");
+  p.Set("count", "-3");
+  const ParamView view(scenario, p);
+  EXPECT_THROW(view.GetInt("n"), std::invalid_argument);
+  EXPECT_THROW(view.GetBool("flag"), std::invalid_argument);
   // Counts reject negatives instead of wrapping to 2^64-3.
-  EXPECT_EQ(p.GetInt("neg", 0), -3);
-  EXPECT_THROW(p.GetUint("neg", 0), std::invalid_argument);
+  EXPECT_THROW(view.GetUint("count"), std::invalid_argument);
+  ScenarioParams neg;
+  neg.Set("n", "-3");
+  EXPECT_EQ(ParamView(scenario, neg).GetInt("n"), -3);
+  // The same values are refused at the door, with the getter's message.
+  try {
+    scenario.ValidateParams(p);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "parameter 'count': cannot parse '-3' as a non-negative integer");
+  }
+  EXPECT_NO_THROW(scenario.ValidateParams(neg));
+  ScenarioParams bad_double;
+  bad_double.Set("x", "1.5.2");
+  EXPECT_THROW(scenario.ValidateParams(bad_double), std::invalid_argument);
+  ScenarioParams any_string;
+  any_string.Set("name", "");
+  EXPECT_NO_THROW(scenario.ValidateParams(any_string));
+}
+
+TEST(ParamTable, AbsentKeysReturnTheSpecDefault) {
+  ScenarioRegistry registry;
+  registry.Register("defaults", "echoes its parameters", TypedScenario().param_specs(),
+                    [](const ParamView& params, const ReplicationContext&) {
+                      ReplicationResult r;
+                      r.metrics["n"] = static_cast<double>(params.GetInt("n"));
+                      r.metrics["count"] = static_cast<double>(params.GetUint("count"));
+                      r.metrics["x"] = params.GetDouble("x");
+                      r.metrics["flag"] = params.GetBool("flag") ? 1.0 : 0.0;
+                      r.metrics["name_len"] = static_cast<double>(params.GetString("name").size());
+                      return r;
+                    });
+  // A bare ScenarioParams and a default context, the direct-call shape.
+  const ReplicationResult r =
+      registry.Find("defaults")->Run(ScenarioParams(), ReplicationContext());
+  EXPECT_EQ(r.metrics.at("n"), -7.0);
+  EXPECT_EQ(r.metrics.at("count"), 3.0);
+  EXPECT_EQ(r.metrics.at("x"), 0.25);
+  EXPECT_EQ(r.metrics.at("flag"), 0.0);
+  EXPECT_EQ(r.metrics.at("name_len"), 4.0);
+}
+
+TEST(ParamTable, BadDefaultThrowsAtRegistration) {
+  ScenarioRegistry registry;
+  for (const ParamSpec& bad : std::vector<ParamSpec>{{"n", ParamType::kInt, "1.5", ""},
+                                                     {"n", ParamType::kUint, "-1", ""},
+                                                     {"n", ParamType::kDouble, "", ""},
+                                                     {"n", ParamType::kBool, "maybe", ""}}) {
+    EXPECT_THROW(registry.Register("bad_default", "", {bad}, RunNothing), std::logic_error)
+        << bad.default_value;
+  }
+  EXPECT_EQ(registry.Find("bad_default"), nullptr);
+}
+
+TEST(ParamTable, DuplicateParameterNameThrowsAtRegistration) {
+  ScenarioRegistry registry;
+  EXPECT_THROW(registry.Register("dup_param", "",
+                                 {{"n", ParamType::kInt, "1", ""},
+                                  {"x", ParamType::kDouble, "1", ""},
+                                  {"n", ParamType::kUint, "2", ""}},
+                                 RunNothing),
+               std::logic_error);
+  EXPECT_EQ(registry.Find("dup_param"), nullptr);
+}
+
+TEST(ParamTable, UndeclaredKeyThrows) {
+  const Scenario scenario = TypedScenario();
+  const ScenarioParams none;
+  const ParamView view(scenario, none);
+  EXPECT_THROW(view.GetInt("not_declared"), std::logic_error);
+  EXPECT_THROW(view.GetString("not_declared"), std::logic_error);
+}
+
+TEST(ParamTable, WrongTypeGetterThrows) {
+  const Scenario scenario = TypedScenario();
+  const ScenarioParams none;
+  const ParamView view(scenario, none);
+  EXPECT_THROW(view.GetUint("n"), std::logic_error);
+  EXPECT_THROW(view.GetInt("count"), std::logic_error);
+  EXPECT_THROW(view.GetDouble("n"), std::logic_error);
+  EXPECT_THROW(view.GetString("flag"), std::logic_error);
+  EXPECT_THROW(view.GetBool("name"), std::logic_error);
 }
 
 // --- Registry ------------------------------------------------------------------
@@ -91,15 +190,8 @@ TEST(Registry, BuiltinScenariosRegistered) {
 
 TEST(Registry, DuplicateRegistrationThrows) {
   ScenarioRegistry registry;
-  registry.Register("dup", "first", {},
-                    [](const ScenarioParams&, const ReplicationContext&) {
-                      return ReplicationResult{};
-                    });
-  EXPECT_THROW(registry.Register("dup", "second", {},
-                                 [](const ScenarioParams&, const ReplicationContext&) {
-                                   return ReplicationResult{};
-                                 }),
-               std::invalid_argument);
+  registry.Register("dup", "first", {}, RunNothing);
+  EXPECT_THROW(registry.Register("dup", "second", {}, RunNothing), std::invalid_argument);
 }
 
 TEST(Registry, UnknownScenarioErrorListsAvailable) {
@@ -224,54 +316,36 @@ TEST(AggregationTest, CsvAndJsonShape) {
 
 // --- Campaign ------------------------------------------------------------------
 
-// A synthetic scenario that reports a function of its substream seed: cheap,
-// and any scheduling-order dependence would show up immediately.
-class SeedEchoScenario final : public Scenario {
- public:
-  std::string_view name() const override { return "seed_echo"; }
-  std::string_view description() const override { return "test scenario"; }
-  ReplicationResult Run(const ScenarioParams&, const ReplicationContext& ctx) const override {
-    ReplicationResult r;
-    r.metrics["seed_mod"] = static_cast<double>(ctx.seed % 1000003);
-    r.metrics["replication"] = static_cast<double>(ctx.replication);
-    return r;
-  }
-};
-
-class ThrowingScenario final : public Scenario {
- public:
-  std::string_view name() const override { return "throwing"; }
-  std::string_view description() const override { return "always throws"; }
-  ReplicationResult Run(const ScenarioParams&, const ReplicationContext&) const override {
-    throw std::runtime_error("scenario blew up");
-  }
-};
-
-// Reports an extra metric on odd replications only: a metric set that
-// varies across replications, which a campaign's one WLSR group (and its
-// fixed CSV header) cannot hold.
-class DriftingScenario final : public Scenario {
- public:
-  std::string_view name() const override { return "drifting"; }
-  std::string_view description() const override { return "metric set varies"; }
-  ReplicationResult Run(const ScenarioParams&, const ReplicationContext& ctx) const override {
-    ReplicationResult r;
-    r.metrics["always"] = 1.0;
-    if (ctx.replication % 2 == 1) {
-      r.metrics["sometimes"] = 2.0;
-    }
-    return r;
-  }
-};
-
 // The engine looks scenarios up by name, so the test scenarios run through
 // the global registry exactly like the built-ins.
 void RegisterTestScenarios() {
   static const bool registered = [] {
     ScenarioRegistry& registry = ScenarioRegistry::Global();
-    registry.Register(std::make_unique<SeedEchoScenario>());
-    registry.Register(std::make_unique<ThrowingScenario>());
-    registry.Register(std::make_unique<DriftingScenario>());
+    // Reports a function of its substream seed: cheap, and any
+    // scheduling-order dependence would show up immediately.
+    registry.Register("seed_echo", "test scenario", {},
+                      [](const ParamView&, const ReplicationContext& ctx) {
+                        ReplicationResult r;
+                        r.metrics["seed_mod"] = static_cast<double>(ctx.seed % 1000003);
+                        r.metrics["replication"] = static_cast<double>(ctx.replication);
+                        return r;
+                      });
+    registry.Register("throwing", "always throws", {},
+                      [](const ParamView&, const ReplicationContext&) -> ReplicationResult {
+                        throw std::runtime_error("scenario blew up");
+                      });
+    // Reports an extra metric on odd replications only: a metric set that
+    // varies across replications, which a campaign's one WLSR group (and its
+    // fixed CSV header) cannot hold.
+    registry.Register("drifting", "metric set varies", {},
+                      [](const ParamView&, const ReplicationContext& ctx) {
+                        ReplicationResult r;
+                        r.metrics["always"] = 1.0;
+                        if (ctx.replication % 2 == 1) {
+                          r.metrics["sometimes"] = 2.0;
+                        }
+                        return r;
+                      });
     return true;
   }();
   (void)registered;

@@ -224,13 +224,15 @@ void RegisterProbeScenario() {
   registered = true;
   ScenarioRegistry::Global().Register(
       "sweep_probe_test", "sweep determinism probe",
-      {{"a", "0", "axis a"}, {"b", "0", "axis b"}, {"base", "0", "base param"}},
-      [](const ScenarioParams& params, const ReplicationContext& ctx) {
+      {{"a", ParamType::kDouble, "0", "axis a"},
+       {"b", ParamType::kDouble, "0", "axis b"},
+       {"base", ParamType::kDouble, "0", "base param"}},
+      [](const ParamView& params, const ReplicationContext& ctx) {
         ReplicationResult r;
         r.metrics["seed_mod"] = static_cast<double>(ctx.seed % 1000003);
-        r.metrics["a"] = params.GetDouble("a", 0);
-        r.metrics["b"] = params.GetDouble("b", 0);
-        r.metrics["base"] = params.GetDouble("base", 0);
+        r.metrics["a"] = params.GetDouble("a");
+        r.metrics["b"] = params.GetDouble("b");
+        r.metrics["base"] = params.GetDouble("base");
         return r;
       });
 }
@@ -379,6 +381,39 @@ TEST(SweepCampaign, UnknownKeyRejectedEvenOnEmptyShardSlice) {
   SweepOptions options = ProbeOptions(1, 7, 8);
   options.grid.AddAxis(ParseSweepAxis("not_a_param=1,2"));
   EXPECT_THROW(RunSweepCampaign(options), std::invalid_argument);
+}
+
+// Records what the engine announced to it.
+class RecordingSink final : public SweepPointSink {
+ public:
+  void BeginSweep(const SweepManifest&) override { begun = true; }
+  void OnPointDone(const SweepPointInfo&, const std::vector<MetricAggregate>&,
+                   const BinaryGroup&) override {
+    ++points;
+  }
+  bool begun = false;
+  size_t points = 0;
+};
+
+TEST(SweepCampaign, MalformedValueRejectedBeforeAnySinkBegins) {
+  // A value that does not parse as its spec type, whether on the last point
+  // of a sweep axis or as a base parameter, fails the run before any sink
+  // sees it: no output file gets a header or an early point.
+  for (const bool in_axis : {true, false}) {
+    SweepOptions options = ProbeOptions(1, 0, 1);
+    if (in_axis) {
+      options.grid = SweepGrid();
+      options.grid.AddAxis(ParseSweepAxis("a=1:3:1"));
+      options.grid.AddAxis(ParseSweepAxis("b=10,abc"));
+    } else {
+      options.base_params.Set("base", "7x");
+    }
+    RecordingSink sink;
+    options.point_sinks.push_back(&sink);
+    EXPECT_THROW(RunSweepCampaign(options), std::invalid_argument) << in_axis;
+    EXPECT_FALSE(sink.begun) << in_axis;
+    EXPECT_EQ(sink.points, 0u) << in_axis;
+  }
 }
 
 // The acceptance-criteria case, on a real scenario: a rate_vs_distance
