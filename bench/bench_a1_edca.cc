@@ -11,6 +11,7 @@
 // The harness times each whole-simulation point (items = voice packets
 // delivered); the figure table is printed from the scenario results.
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -20,6 +21,10 @@ namespace wlansim {
 namespace {
 
 const size_t kBulkCounts[] = {1, 3, 6, 10};
+// Voice packets the CBR source offers in the scenario's default 6 s, one
+// per 20 ms from 1 s to 7 s inclusive: the delivered count is this times
+// one minus the loss rate.
+constexpr double kVoicePacketsSent = 301.0;
 
 int Run(int argc, char** argv) {
   PerfArgs args = ParsePerfArgs(argc, argv, "bench_a1_edca", /*default_reps=*/1);
@@ -37,18 +42,19 @@ int Run(int argc, char** argv) {
       if (!args.filter.empty() && name.find(args.filter) == std::string::npos) {
         continue;  // keep the figure table aligned with the benches that ran
       }
-      EdcaQosParams p;
-      p.qos = qos;
-      p.bulk_stations = k;
-      p.seed = 500 + k;
-      EdcaQosResult o{};
-      harness.Bench(name, [&p, &o] {
-        o = RunEdcaScenario(p);
-        return o.voice_delivered;
+      ReplicationResult o;
+      harness.Bench(name, [qos, k, &o] {
+        o = RunScenarioOnce(
+            "edca", {{"qos", qos ? "true" : "false"}, {"bulk_stations", std::to_string(k)}},
+            500 + k);
+        return static_cast<uint64_t>(
+            std::llround(kVoicePacketsSent * (1.0 - o.metrics.at("voice_loss_rate"))));
       });
-      table.AddRow({qos ? "edca" : "dcf", std::to_string(k), Table::Num(o.voice_delay_ms, 2),
-                    Table::Num(o.voice_jitter_ms, 2), Table::Num(100 * o.voice_loss, 1),
-                    Table::Num(o.bulk_mbps, 2)});
+      table.AddRow({qos ? "edca" : "dcf", std::to_string(k),
+                    Table::Num(o.metrics.at("voice_delay_ms"), 2),
+                    Table::Num(o.metrics.at("voice_jitter_ms"), 2),
+                    Table::Num(100 * o.metrics.at("voice_loss_rate"), 1),
+                    Table::Num(o.metrics.at("bulk_mbps"), 2)});
     }
   }
   const int rc = harness.Finish();

@@ -43,20 +43,19 @@ int Run(int argc, char** argv) {
           continue;  // keep the figure table aligned with the benches that ran
         }
         ran = true;
-        RunResult r{};
-        harness.Bench(name, [payload, n, rtscts, &r] {
-          SaturationParams p;
-          p.standard = PhyStandard::k80211b;
-          p.n_stas = n;
-          p.payload = payload;
-          p.distance = 10.0;
-          p.sim_time = Time::Seconds(4);
-          p.seed = 7000 + n * 10 + payload;
-          p.rts_threshold = rtscts ? 0 : 65535;  // 0 = RTS for everything
-          r = RunSaturationScenario(p);
-          return r.rx_ok;
+        harness.Bench(name, [payload, n, rtscts, &goodput] {
+          const ReplicationResult r =
+              RunScenarioOnce("saturation",
+                              {{"standard", "11b"},
+                               {"n_stas", std::to_string(n)},
+                               {"payload", std::to_string(payload)},
+                               {"distance", "10"},
+                               {"sim_time_s", "4"},
+                               {"rts_threshold", rtscts ? "0" : "65535"}},  // 0 = RTS always
+                              7000 + n * 10 + payload);
+          goodput[rtscts ? 1 : 0] = r.metrics.at("goodput_mbps");
+          return static_cast<uint64_t>(r.metrics.at("rx_ok"));
         });
-        goodput[rtscts ? 1 : 0] = r.goodput_mbps;
       }
       if (ran) {
         table.AddRow({std::to_string(payload), std::to_string(n), Table::Num(goodput[0], 2),

@@ -64,28 +64,25 @@ int Run(int argc, char** argv) {
         if (!args.filter.empty() && name.find(args.filter) == std::string::npos) {
           continue;  // keep the figure table aligned with the benches that ran
         }
-        RunResult r{};
+        ReplicationResult r;
         harness.Bench(name, [standard, rtscts, n, &r] {
-          SaturationParams p;
-          p.standard = standard;
-          p.n_stas = n;
-          p.payload = kPayload;
-          p.distance = 10.0;
-          p.rts_threshold = rtscts ? 400 : 65535;
-          p.sim_time = Time::Seconds(5);
-          p.seed = 100 + n;
-          r = RunSaturationScenario(p);
-          return r.rx_ok;
+          r = RunScenarioOnce("saturation",
+                              {{"standard", ToString(standard)},
+                               {"n_stas", std::to_string(n)},
+                               {"payload", std::to_string(kPayload)},
+                               {"distance", "10"},
+                               {"rts_threshold", rtscts ? "400" : "65535"},
+                               {"sim_time_s", "5"}},
+                              100 + n);
+          return static_cast<uint64_t>(r.metrics.at("rx_ok"));
         });
-        const double retry_rate =
-            r.tx_attempts
-                ? 100.0 * static_cast<double>(r.retries) / static_cast<double>(r.tx_attempts)
-                : 0.0;
+        const double attempts = r.metrics.at("tx_attempts");
+        const double retry_rate = attempts ? 100.0 * r.metrics.at("retries") / attempts : 0.0;
         table.AddRow(
             {ToString(standard), std::to_string(n), rtscts ? "rts/cts" : "basic",
-             Table::Num(r.goodput_mbps, 2),
+             Table::Num(r.metrics.at("goodput_mbps"), 2),
              Table::Num(AnalyticMbps(standard, static_cast<uint32_t>(n), kPayload, rtscts), 2),
-             Table::Num(retry_rate, 1), Table::Num(r.mean_delay_ms, 1)});
+             Table::Num(retry_rate, 1), Table::Num(r.metrics.at("mean_delay_ms"), 1)});
       }
     }
   }

@@ -40,24 +40,24 @@ int Run(int argc, char** argv) {
       if (!args.filter.empty() && name.find(args.filter) == std::string::npos) {
         continue;  // keep the figure table aligned with the benches that ran
       }
-      RunResult r{};
-      harness.Bench(name, [suite, payload, &r] {
-        SaturationParams p;
-        p.standard = PhyStandard::k80211b;
-        p.n_stas = 1;
-        p.payload = payload;
-        p.distance = 5.0;
-        p.cipher = suite;
-        p.sim_time = Time::Seconds(5);
-        r = RunSaturationScenario(p);
-        return r.rx_ok;
+      double goodput_mbps = 0.0;
+      harness.Bench(name, [suite, payload, &goodput_mbps] {
+        const ReplicationResult r = RunScenarioOnce("saturation",
+                                                    {{"standard", "11b"},
+                                                     {"payload", std::to_string(payload)},
+                                                     {"distance", "5"},
+                                                     {"cipher", ToString(suite)},
+                                                     {"sim_time_s", "5"}},
+                                                    1);
+        goodput_mbps = r.metrics.at("goodput_mbps");
+        return static_cast<uint64_t>(r.metrics.at("rx_ok"));
       });
       if (suite == CipherSuite::kOpen) {
-        open_baseline = r.goodput_mbps;
+        open_baseline = goodput_mbps;
       }
-      const double rel = open_baseline > 0 ? 100.0 * r.goodput_mbps / open_baseline : 100.0;
+      const double rel = open_baseline > 0 ? 100.0 * goodput_mbps / open_baseline : 100.0;
       table.AddRow({ToString(suite), std::to_string(payload),
-                    std::to_string(CipherTotalOverheadBytes(suite)), Table::Num(r.goodput_mbps, 3),
+                    std::to_string(CipherTotalOverheadBytes(suite)), Table::Num(goodput_mbps, 3),
                     Table::Num(rel, 1), "0"});
     }
   }

@@ -38,20 +38,21 @@ int Run(int argc, char** argv) {
       if (!args.filter.empty() && name.find(args.filter) == std::string::npos) {
         continue;  // keep the figure table aligned with the benches that ran
       }
-      AdhocInfraResult r{};
-      AdhocInfraParams p;
-      p.adhoc = adhoc;
-      p.n_pairs = pairs;
-      p.seed = 55 + pairs;
-      harness.Bench(name, [&p, &r] {
-        r = RunAdhocInfraScenario(p);
-        const double sim_secs = p.sim_time.seconds();
-        return static_cast<uint64_t>(r.delivered_mbps * 1e6 / 8.0 * sim_secs);
+      constexpr double kSimSeconds = 8.0;  // the scenario's default sim_time_s
+      ReplicationResult r;
+      harness.Bench(name, [adhoc, pairs, &r] {
+        r = RunScenarioOnce("adhoc_vs_infra",
+                            {{"adhoc", adhoc ? "true" : "false"},
+                             {"n_pairs", std::to_string(pairs)}},
+                            55 + pairs);
+        return static_cast<uint64_t>(r.metrics.at("delivered_mbps") * 1e6 / 8.0 * kSimSeconds);
       });
+      const double offered = r.metrics.at("offered_mbps");
+      const double delivered = r.metrics.at("delivered_mbps");
       table.AddRow({adhoc ? "adhoc" : "infrastructure", std::to_string(2 * pairs),
-                    Table::Num(r.offered_mbps, 2), Table::Num(r.delivered_mbps, 2),
-                    Table::Num(100.0 * r.delivered_mbps / r.offered_mbps, 1),
-                    Table::Num(r.delay_ms, 1)});
+                    Table::Num(offered, 2), Table::Num(delivered, 2),
+                    Table::Num(100.0 * delivered / offered, 1),
+                    Table::Num(r.metrics.at("mean_delay_ms"), 1)});
     }
   }
   const int rc = harness.Finish();

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
+#include "runner/builders.h"
 
 namespace wlansim {
 namespace {

@@ -121,15 +121,13 @@ uint64_t RngDraws(uint64_t draws) {
   return acc != 0 ? draws : draws + 1;
 }
 
-// End-to-end engine speed: items are simulated microseconds of a 5-station
-// saturated BSS, so items/s reads as simulated-us per wall-second.
+// End-to-end engine speed: items are measured simulated microseconds of a
+// 5-station saturated BSS (after its 1 s warm-up), so items/s reads as
+// simulated-us per wall-second.
 uint64_t SaturatedBss(uint64_t sim_seconds) {
-  SaturationParams p;
-  p.n_stas = 5;
-  p.sim_time = Time::Seconds(static_cast<int64_t>(sim_seconds));
-  p.warmup = Time::Millis(500);
-  const RunResult r = RunSaturationScenario(p);
-  return r.goodput_mbps > 0 ? sim_seconds * 1'000'000 : 0;
+  const ReplicationResult r = RunScenarioOnce(
+      "saturation", {{"n_stas", "5"}, {"sim_time_s", std::to_string(sim_seconds)}}, 1);
+  return r.metrics.at("goodput_mbps") > 0 ? sim_seconds * 1'000'000 : 0;
 }
 
 int Run(int argc, char** argv) {

@@ -33,21 +33,21 @@ int Run(int argc, char** argv) {
     if (!args.filter.empty() && name.find(args.filter) == std::string::npos) {
       continue;  // keep the comparison table aligned with the benches that ran
     }
-    RunResult r{};
+    ReplicationResult r;
     harness.Bench(name, [standard, &r] {
-      SaturationParams p;
-      p.standard = standard;
-      p.n_stas = 1;
-      p.payload = 1500;
-      p.distance = 5.0;
-      p.sim_time = Time::Seconds(6);
-      r = RunSaturationScenario(p);
-      return r.rx_ok;
+      r = RunScenarioOnce("saturation",
+                          {{"standard", ToString(standard)},
+                           {"payload", "1500"},
+                           {"distance", "5"},
+                           {"sim_time_s", "6"}},
+                          1);
+      return static_cast<uint64_t>(r.metrics.at("rx_ok"));
     });
     const double phy_mbps = static_cast<double>(ModesFor(standard).back().bit_rate_bps) / 1e6;
-    table.AddRow({ToString(standard), Table::Num(phy_mbps, 0), Table::Num(r.goodput_mbps, 2),
-                  Table::Num(100.0 * r.goodput_mbps / phy_mbps, 1),
-                  Table::Num(r.mean_delay_ms, 2)});
+    const double goodput_mbps = r.metrics.at("goodput_mbps");
+    table.AddRow({ToString(standard), Table::Num(phy_mbps, 0), Table::Num(goodput_mbps, 2),
+                  Table::Num(100.0 * goodput_mbps / phy_mbps, 1),
+                  Table::Num(r.metrics.at("mean_delay_ms"), 2)});
   }
   const int rc = harness.Finish();
   std::printf("=== T1: standards comparison (saturated 1500 B UDP, 5 m link) ===\n%s\n",

@@ -1,7 +1,9 @@
-// Shared helpers for the experiment harnesses. The canonical scenario
-// builders live in the library (runner/builders.h) so the campaign runner,
-// the benches and the examples execute identical scenario code; this header
-// only re-exports them plus the table-printing glue the bench mains use.
+// Shared helpers for the experiment harnesses. Benches run the library's
+// registered scenarios, one replication at a time through RunScenarioOnce
+// (runner/scenario_registry.h) or as a grid through the sweep engine, so the
+// campaign runner, the benches and the tests execute identical scenario
+// code; this header re-exports both plus the table-printing glue the bench
+// mains use.
 
 #ifndef WLANSIM_BENCH_BENCH_UTIL_H_
 #define WLANSIM_BENCH_BENCH_UTIL_H_
@@ -20,7 +22,7 @@
 #include "rate/minstrel.h"
 #include "rate/onoe.h"
 #include "rate/sample_rate.h"
-#include "runner/builders.h"
+#include "runner/scenario_registry.h"
 #include "runner/sweep.h"
 #include "stats/table.h"
 

@@ -3,10 +3,12 @@
 // riding past all three while running a constant-rate uplink.
 //
 // The topology is the library's canonical roaming builder (the same code
-// `wlansim_run --scenario=roaming --param n_aps=3` executes); this example
-// turns on association logging and plots the delivered-rate time series,
-// the survey's "seamless roaming" story including its distinctly
-// non-seamless gaps.
+// `wlansim_run --scenario=roaming --param n_aps=3` executes). Roaming is the
+// one scenario that keeps a typed entry point, RunRoamingScenario, beside
+// its registration: this example turns on association logging and plots the
+// delivered-rate time series, which the registered scenario's scalar metric
+// map cannot carry. Together they tell the survey's "seamless roaming"
+// story, including its distinctly non-seamless gaps.
 
 #include <cstdio>
 #include <string>

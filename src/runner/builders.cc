@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "net/ism_interferer.h"
 #include "net/network.h"
@@ -14,6 +15,7 @@
 #include "rate/minstrel.h"
 #include "rate/onoe.h"
 #include "rate/sample_rate.h"
+#include "runner/metric_recorder.h"
 #include "stats/time_series.h"
 
 namespace wlansim {
@@ -21,18 +23,50 @@ namespace {
 
 constexpr double kPi = 3.14159265358979;
 
-double MeanDelayMs(const FlowStats& stats) {
-  uint64_t delay_count = 0;
-  double delay_sum = 0;
-  for (const auto& [id, flow] : stats.flows()) {
-    delay_sum += flow.delay_us.mean() * static_cast<double>(flow.delay_us.count());
-    delay_count += flow.delay_us.count();
-  }
-  return delay_count ? delay_sum / static_cast<double>(delay_count) / 1000.0 : 0.0;
+// Traffic starts after this much simulated time; `sim_time_s` is measured
+// from there.
+constexpr Time kWarmup = Time::Seconds(1);
+
+Time SimTime(const ParamView& params) {
+  return Time::Seconds(params.GetDouble("sim_time_s"));
 }
 
-}  // namespace
+// The `standard` and `cipher` spellings; scenarios.cc lists the same ones
+// as their parameters' allowed values, so the door check refuses any other.
+PhyStandard ParseStandard(const std::string& s) {
+  if (s == "11" || s == "802.11") {
+    return PhyStandard::k80211;
+  }
+  if (s == "11b" || s == "802.11b") {
+    return PhyStandard::k80211b;
+  }
+  if (s == "11a" || s == "802.11a") {
+    return PhyStandard::k80211a;
+  }
+  if (s == "11g" || s == "802.11g") {
+    return PhyStandard::k80211g;
+  }
+  throw std::invalid_argument("unknown PHY standard '" + s + "' (use 11/11b/11a/11g)");
+}
 
+CipherSuite ParseCipher(const std::string& s) {
+  if (s == "open") {
+    return CipherSuite::kOpen;
+  }
+  if (s == "wep") {
+    return CipherSuite::kWep;
+  }
+  if (s == "tkip") {
+    return CipherSuite::kTkip;
+  }
+  if (s == "ccmp") {
+    return CipherSuite::kCcmp;
+  }
+  throw std::invalid_argument("unknown cipher '" + s + "' (use open/wep/tkip/ccmp)");
+}
+
+// The rate controller named `name` ("arf", "aarf", "onoe", "samplerate",
+// "minstrel"); nullptr for any other name.
 std::unique_ptr<RateController> MakeRateController(const std::string& name,
                                                    PhyStandard standard, Rng rng) {
   if (name == "arf") {
@@ -55,39 +89,165 @@ std::unique_ptr<RateController> MakeRateController(const std::string& name,
   return nullptr;
 }
 
-RunResult RunSaturationScenario(const SaturationParams& p) {
-  Network net(Network::Params{.seed = p.seed});
+WifiMode FixedMode(PhyStandard standard, uint64_t rate_index) {
+  const auto modes = ModesFor(standard);
+  if (rate_index >= modes.size()) {
+    throw std::invalid_argument("rate_index " + std::to_string(rate_index) + " out of range: " +
+                                ToString(standard) + " has " + std::to_string(modes.size()) +
+                                " modes");
+  }
+  return modes[rate_index];
+}
+
+double MeanDelayMs(const FlowStats& stats) {
+  uint64_t delay_count = 0;
+  double delay_sum = 0;
+  for (const auto& [id, flow] : stats.flows()) {
+    delay_sum += flow.delay_us.mean() * static_cast<double>(flow.delay_us.count());
+    delay_count += flow.delay_us.count();
+  }
+  return delay_count ? delay_sum / static_cast<double>(delay_count) / 1000.0 : 0.0;
+}
+
+// The metric set of a saturated WiFi flow: goodput, loss and mean delay,
+// then MAC retries and data attempts summed over `senders`, and the data
+// frames the receiving side counted.
+ReplicationResult WifiMetrics(double goodput_mbps, double loss_rate, double mean_delay_ms,
+                              const std::vector<Node*>& senders, uint64_t rx_ok) {
+  uint64_t retries = 0;
+  uint64_t tx_attempts = 0;
+  for (Node* sta : senders) {
+    retries += sta->mac().counters().retries;
+    tx_attempts += sta->mac().counters().tx_data_attempts;
+  }
+  ReplicationResult out;
+  out.metrics["goodput_mbps"] = goodput_mbps;
+  out.metrics["loss_rate"] = loss_rate;
+  out.metrics["mean_delay_ms"] = mean_delay_ms;
+  out.metrics["retries"] = static_cast<double>(retries);
+  out.metrics["tx_attempts"] = static_cast<double>(tx_attempts);
+  out.metrics["rx_ok"] = static_cast<double>(rx_ok);
+  return out;
+}
+
+// WifiMetrics over every flow of `net`.
+ReplicationResult AllFlowMetrics(Network& net, const std::vector<Node*>& senders,
+                                 uint64_t rx_ok) {
+  const FlowStats& stats = net.flow_stats();
+  return WifiMetrics(stats.GoodputMbps(), stats.LossRate(), MeanDelayMs(stats), senders, rx_ok);
+}
+
+// Goodput plus the shares of the senders' data attempts that were retries
+// and that were dropped at the retry limit.
+ReplicationResult RetryMetrics(double goodput_mbps, const std::vector<Node*>& senders) {
+  uint64_t retries = 0;
+  uint64_t attempts = 0;
+  uint64_t drops = 0;
+  for (Node* s : senders) {
+    retries += s->mac().counters().retries;
+    attempts += s->mac().counters().tx_data_attempts;
+    drops += s->mac().counters().tx_data_dropped;
+  }
+  ReplicationResult out;
+  out.metrics["goodput_mbps"] = goodput_mbps;
+  out.metrics["retry_rate"] =
+      attempts ? static_cast<double>(retries) / static_cast<double>(attempts) : 0.0;
+  out.metrics["drop_rate"] =
+      attempts ? static_cast<double>(drops) / static_cast<double>(attempts) : 0.0;
+  out.metrics["drops"] = static_cast<double>(drops);
+  return out;
+}
+
+// The dense_multi_bss / city_grid topology on `net`: `n_bss` BSSs on a
+// square grid `bss_spacing` apart, each with `stas_per_bss` saturated uplink
+// stations on a circle of `sta_radius` around its AP. Runs it and returns
+// AllFlowMetrics. Flow ids are 1..N in station creation order (BSS by BSS,
+// station by station).
+ReplicationResult RunBssGrid(Network& net, const ParamView& params) {
+  const PhyStandard standard = ParseStandard(params.GetString("standard"));
+  const size_t n_bss = std::max<uint64_t>(params.GetUint("n_bss"), 1);
+  const uint64_t stas_per_bss = params.GetUint("stas_per_bss");
+  const double bss_spacing = params.GetDouble("bss_spacing");
+  const double sta_radius = params.GetDouble("sta_radius");
+  const size_t payload = params.GetUint("payload");
+
+  const WifiMode fixed = ModesFor(standard).back();
+  const size_t side = static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(n_bss))));
+  std::vector<Node*> aps;
+  std::vector<Node*> stas;
+  for (size_t k = 0; k < n_bss; ++k) {
+    const double ap_x = static_cast<double>(k % side) * bss_spacing;
+    const double ap_y = static_cast<double>(k / side) * bss_spacing;
+    const std::string ssid = "bss" + std::to_string(k);
+    aps.push_back(net.AddNode(
+        {.role = MacRole::kAp, .standard = standard, .ssid = ssid, .position = {ap_x, ap_y, 0}}));
+    for (uint64_t i = 0; i < stas_per_bss; ++i) {
+      const double angle = 2.0 * kPi * static_cast<double>(i) /
+                           static_cast<double>(std::max<uint64_t>(stas_per_bss, 1));
+      Node* sta = net.AddNode({.role = MacRole::kSta,
+                               .standard = standard,
+                               .ssid = ssid,
+                               .position = {ap_x + sta_radius * std::cos(angle),
+                                            ap_y + sta_radius * std::sin(angle), 0}});
+      sta->SetRateController(std::make_unique<FixedRateController>(fixed));
+      stas.push_back(sta);
+    }
+  }
+  net.StartAll();
+
+  for (size_t i = 0; i < stas.size(); ++i) {
+    Node* ap = aps[i / stas_per_bss];
+    stas[i]
+        ->AddTraffic<SaturatedTraffic>(ap->address(), static_cast<uint32_t>(i + 1), payload)
+        ->Start(kWarmup);
+  }
+  net.Run(kWarmup + SimTime(params));
+
+  uint64_t rx_ok = 0;
+  for (Node* ap : aps) {
+    rx_ok += ap->mac().counters().rx_data;
+  }
+  return AllFlowMetrics(net, stas, rx_ok);
+}
+
+}  // namespace
+
+ReplicationResult RunSaturation(const ParamView& params, const ReplicationContext& ctx) {
+  const PhyStandard standard = ParseStandard(params.GetString("standard"));
+  const CipherSuite cipher = ParseCipher(params.GetString("cipher"));
+  const uint64_t n_stas = params.GetUint("n_stas");
+  const size_t payload = params.GetUint("payload");
+  const double distance = params.GetDouble("distance");
+  const auto rts_threshold = static_cast<uint32_t>(params.GetUint("rts_threshold"));
+  const int64_t rate_index = params.GetInt("rate_index");  // -1 = highest
+
+  Network net(Network::Params{.seed = ctx.seed});
   net.UseLogDistanceLoss(3.0);
 
   std::vector<uint8_t> key(16, 0x42);
   auto mac_tweak = [&](WifiMac::Config& c) {
-    c.rts_threshold = p.rts_threshold;
-    if (p.cipher != CipherSuite::kOpen) {
-      c.cipher = p.cipher;
-      c.cipher_key = p.cipher == CipherSuite::kWep ? std::vector<uint8_t>(13, 0x42) : key;
+    c.rts_threshold = rts_threshold;
+    if (cipher != CipherSuite::kOpen) {
+      c.cipher = cipher;
+      c.cipher_key = cipher == CipherSuite::kWep ? std::vector<uint8_t>(13, 0x42) : key;
     }
   };
 
   Node* ap = net.AddNode(
-      {.role = MacRole::kAp, .standard = p.standard, .ssid = "bench", .mac_tweak = mac_tweak});
-  const auto modes = ModesFor(p.standard);
-  if (p.rate_index != SIZE_MAX && p.rate_index >= modes.size()) {
-    throw std::invalid_argument("rate_index " + std::to_string(p.rate_index) +
-                                " out of range: " + ToString(p.standard) + " has " +
-                                std::to_string(modes.size()) + " modes");
-  }
-  const WifiMode fixed = modes[p.rate_index == SIZE_MAX ? modes.size() - 1 : p.rate_index];
+      {.role = MacRole::kAp, .standard = standard, .ssid = "bench", .mac_tweak = mac_tweak});
+  const WifiMode fixed = rate_index == -1 ? ModesFor(standard).back()
+                                         : FixedMode(standard, static_cast<uint64_t>(rate_index));
 
   std::vector<Node*> stas;
-  for (size_t i = 0; i < p.n_stas; ++i) {
+  for (uint64_t i = 0; i < n_stas; ++i) {
     // Stations on a circle around the AP.
-    const double angle = 2.0 * kPi * static_cast<double>(i) /
-                         static_cast<double>(std::max<size_t>(p.n_stas, 1));
+    const double angle =
+        2.0 * kPi * static_cast<double>(i) / static_cast<double>(std::max<uint64_t>(n_stas, 1));
     Node* sta = net.AddNode({.role = MacRole::kSta,
-                             .standard = p.standard,
+                             .standard = standard,
                              .ssid = "bench",
-                             .position = {p.distance * std::cos(angle),
-                                          p.distance * std::sin(angle), 0},
+                             .position = {distance * std::cos(angle),
+                                          distance * std::sin(angle), 0},
                              .mac_tweak = mac_tweak});
     sta->SetRateController(std::make_unique<FixedRateController>(fixed));
     stas.push_back(sta);
@@ -95,31 +255,23 @@ RunResult RunSaturationScenario(const SaturationParams& p) {
   net.StartAll();
 
   for (size_t i = 0; i < stas.size(); ++i) {
-    auto* app = stas[i]->AddTraffic<SaturatedTraffic>(ap->address(),
-                                                      static_cast<uint32_t>(i + 1), p.payload);
-    app->Start(p.warmup);
+    stas[i]
+        ->AddTraffic<SaturatedTraffic>(ap->address(), static_cast<uint32_t>(i + 1), payload)
+        ->Start(kWarmup);
   }
-  net.Run(p.warmup + p.sim_time);
-
-  RunResult r;
-  r.goodput_mbps = net.flow_stats().GoodputMbps();
-  r.loss_rate = net.flow_stats().LossRate();
-  r.mean_delay_ms = MeanDelayMs(net.flow_stats());
-  for (auto& sta : stas) {
-    r.retries += sta->mac().counters().retries;
-    r.tx_attempts += sta->mac().counters().tx_data_attempts;
-  }
-  r.rx_ok = ap->mac().counters().rx_data;
-  return r;
+  net.Run(kWarmup + SimTime(params));
+  return AllFlowMetrics(net, stas, ap->mac().counters().rx_data);
 }
 
-HiddenTerminalResult RunHiddenTerminalScenario(const HiddenTerminalParams& p) {
-  Network net(Network::Params{.seed = p.seed});
+ReplicationResult RunHiddenTerminal(const ParamView& params, const ReplicationContext& ctx) {
+  const bool hidden = params.GetBool("hidden");
+  const bool rtscts = params.GetBool("rtscts");
+  const size_t payload = params.GetUint("payload");
+
+  Network net(Network::Params{.seed = ctx.seed});
   MatrixLossModel* loss = net.UseMatrixLoss(200.0);
 
-  auto mac_tweak = [&](WifiMac::Config& c) {
-    c.rts_threshold = p.rtscts ? 400 : 65535;
-  };
+  auto mac_tweak = [rtscts](WifiMac::Config& c) { c.rts_threshold = rtscts ? 400 : 65535; };
   // Node ids are assigned in AddNode order: receiver 0, senders 1 and 2.
   Node* receiver = net.AddNode(
       {.role = MacRole::kAdhoc, .standard = PhyStandard::k80211b, .mac_tweak = mac_tweak});
@@ -133,35 +285,29 @@ HiddenTerminalResult RunHiddenTerminalScenario(const HiddenTerminalParams& p) {
                          .mac_tweak = mac_tweak});
   loss->SetLoss(1, 0, 70.0);  // both senders hear the receiver fine
   loss->SetLoss(2, 0, 70.0);
-  loss->SetLoss(1, 2, p.hidden ? 200.0 : 70.0);  // sender-sender link
+  loss->SetLoss(1, 2, hidden ? 200.0 : 70.0);  // sender-sender link
 
   const WifiMode mode = ModesFor(PhyStandard::k80211b).back();
   a->SetRateController(std::make_unique<FixedRateController>(mode));
   b->SetRateController(std::make_unique<FixedRateController>(mode));
   net.StartAll();
-  a->AddTraffic<SaturatedTraffic>(receiver->address(), 1, p.payload)->Start(Time::Seconds(1));
-  b->AddTraffic<SaturatedTraffic>(receiver->address(), 2, p.payload)->Start(Time::Seconds(1));
-  net.Run(Time::Seconds(1) + p.sim_time);
+  a->AddTraffic<SaturatedTraffic>(receiver->address(), 1, payload)->Start(kWarmup);
+  b->AddTraffic<SaturatedTraffic>(receiver->address(), 2, payload)->Start(kWarmup);
+  net.Run(kWarmup + SimTime(params));
 
-  HiddenTerminalResult r;
-  r.goodput_mbps = net.flow_stats().GoodputMbps();
-  uint64_t retries = 0;
-  uint64_t attempts = 0;
-  for (Node* s : {a, b}) {
-    retries += s->mac().counters().retries;
-    attempts += s->mac().counters().tx_data_attempts;
-    r.cts_timeouts += s->mac().counters().cts_timeouts;
-    r.drops += s->mac().counters().tx_data_dropped;
-  }
-  r.retry_rate = attempts ? static_cast<double>(retries) / static_cast<double>(attempts) : 0.0;
-  r.drop_rate = attempts ? static_cast<double>(r.drops) / static_cast<double>(attempts) : 0.0;
-  return r;
+  ReplicationResult out = RetryMetrics(net.flow_stats().GoodputMbps(), {a, b});
+  out.metrics["cts_timeouts"] =
+      static_cast<double>(a->mac().counters().cts_timeouts + b->mac().counters().cts_timeouts);
+  return out;
 }
 
-EdcaQosResult RunEdcaScenario(const EdcaQosParams& p) {
-  Network net(Network::Params{.seed = p.seed});
+ReplicationResult RunEdca(const ParamView& params, const ReplicationContext& ctx) {
+  const bool qos = params.GetBool("qos");
+  const uint64_t bulk_stations = params.GetUint("bulk_stations");
+
+  Network net(Network::Params{.seed = ctx.seed});
   net.UseLogDistanceLoss(3.0);
-  auto tweak = [&p](WifiMac::Config& c) { c.qos_enabled = p.qos; };
+  auto tweak = [qos](WifiMac::Config& c) { c.qos_enabled = qos; };
   Node* ap = net.AddNode(
       {.role = MacRole::kAp, .standard = PhyStandard::k80211b, .mac_tweak = tweak});
   const WifiMode m = ModesFor(PhyStandard::k80211b).back();
@@ -173,9 +319,9 @@ EdcaQosResult RunEdcaScenario(const EdcaQosParams& p) {
   phone->SetRateController(std::make_unique<FixedRateController>(m));
 
   std::vector<Node*> bulk;
-  for (size_t i = 0; i < p.bulk_stations; ++i) {
+  for (uint64_t i = 0; i < bulk_stations; ++i) {
     const double angle = 2.0 * kPi * static_cast<double>(i) /
-                         static_cast<double>(std::max<size_t>(p.bulk_stations, 1));
+                         static_cast<double>(std::max<uint64_t>(bulk_stations, 1));
     Node* sta = net.AddNode({.role = MacRole::kSta,
                              .standard = PhyStandard::k80211b,
                              .position = {10 * std::cos(angle), 10 * std::sin(angle), 0},
@@ -187,249 +333,160 @@ EdcaQosResult RunEdcaScenario(const EdcaQosParams& p) {
 
   auto* voice = phone->AddTraffic<CbrTraffic>(ap->address(), 1, 160, Time::Millis(20));
   voice->SetPriority(6);  // AC_VO
-  voice->Start(Time::Seconds(1));
+  voice->Start(kWarmup);
   for (size_t i = 0; i < bulk.size(); ++i) {
     auto* app =
         bulk[i]->AddTraffic<SaturatedTraffic>(ap->address(), static_cast<uint32_t>(i + 2), 1500);
     app->SetPriority(1);  // AC_BK
-    app->Start(Time::Seconds(1));
+    app->Start(kWarmup);
   }
-  net.Run(Time::Seconds(1) + p.sim_time);
+  net.Run(kWarmup + SimTime(params));
 
-  EdcaQosResult out{};
-  const auto* flow = net.flow_stats().Find(1);
-  out.voice_delay_ms = flow != nullptr ? flow->delay_us.mean() / 1000.0 : 0.0;
-  out.voice_jitter_ms = flow != nullptr ? flow->jitter_us / 1000.0 : 0.0;
-  out.voice_delivered = flow != nullptr ? flow->rx_packets : 0;
-  out.voice_loss = net.flow_stats().LossRate(1);
+  const FlowStats& stats = net.flow_stats();
+  const auto* flow = stats.Find(1);
+  double bulk_mbps = 0.0;
   for (size_t i = 0; i < bulk.size(); ++i) {
-    out.bulk_mbps += net.flow_stats().GoodputMbps(static_cast<uint32_t>(i + 2));
+    bulk_mbps += stats.GoodputMbps(static_cast<uint32_t>(i + 2));
+  }
+  ReplicationResult out;
+  out.metrics["voice_delay_ms"] = flow != nullptr ? flow->delay_us.mean() / 1000.0 : 0.0;
+  out.metrics["voice_jitter_ms"] = flow != nullptr ? flow->jitter_us / 1000.0 : 0.0;
+  out.metrics["voice_loss_rate"] = stats.LossRate(1);
+  out.metrics["bulk_mbps"] = bulk_mbps;
+  return out;
+}
+
+ReplicationResult RunRateVsDistance(const ParamView& params, const ReplicationContext& ctx) {
+  const PhyStandard standard = ParseStandard(params.GetString("standard"));
+  const std::string controller = params.GetString("controller");  // "" = fixed rate
+
+  Network net(Network::Params{.seed = ctx.seed});
+  net.UseLogDistanceLoss(3.0);
+  if (params.GetBool("fading")) {
+    net.UseRayleighFading();
+  }
+  Node* ap = net.AddNode({.role = MacRole::kAp, .standard = standard, .ssid = "f1"});
+  Node* sta = net.AddNode({.role = MacRole::kSta,
+                           .standard = standard,
+                           .ssid = "f1",
+                           .position = {params.GetDouble("distance"), 0, 0}});
+  if (controller.empty()) {
+    sta->SetRateController(
+        std::make_unique<FixedRateController>(FixedMode(standard, params.GetUint("rate_index"))));
+  } else {
+    auto rc = MakeRateController(controller, standard, net.ForkRng("rate"));
+    if (rc == nullptr) {
+      throw std::invalid_argument("unknown rate controller '" + controller + "'");
+    }
+    sta->SetRateController(std::move(rc));
+  }
+  net.StartAll();
+  sta->AddTraffic<SaturatedTraffic>(ap->address(), 1, params.GetUint("payload"))->Start(kWarmup);
+  net.Run(kWarmup + SimTime(params));
+  return AllFlowMetrics(net, {sta}, ap->mac().counters().rx_data);
+}
+
+ReplicationResult RunDenseMultiBss(const ParamView& params, const ReplicationContext& ctx) {
+  // The fairness view of the dense grid: a histogram over each station's
+  // achieved goodput, recorded through the richer metric channel so the
+  // result store keeps the full distribution and the scalar rows gain
+  // per_sta_mbps_{p10,p50,p90,mean,min,max}. Opt-in (sta_hist=true) so the
+  // default column set, and therefore every historical CSV, is unchanged.
+  const bool sta_hist = params.GetBool("sta_hist") && ctx.recorder != nullptr;
+  const double hist_max = params.GetDouble("sta_hist_max");
+  if (sta_hist && hist_max <= 0.0) {
+    throw std::invalid_argument("sta_hist_max must be > 0");
+  }
+
+  Network net(Network::Params{.seed = ctx.seed});
+  net.UseLogDistanceLoss(3.0);
+  ReplicationResult out = RunBssGrid(net, params);
+  if (sta_hist) {
+    ctx.recorder->DeclareHistogram("per_sta_mbps", 0.0, hist_max / 64.0, 64);
+    // RunBssGrid numbers the flows 1..N in station order.
+    const uint64_t n_stas =
+        std::max<uint64_t>(params.GetUint("n_bss"), 1) * params.GetUint("stas_per_bss");
+    for (uint64_t f = 1; f <= n_stas; ++f) {
+      ctx.recorder->AddHistogramSample("per_sta_mbps",
+                                       net.flow_stats().GoodputMbps(static_cast<uint32_t>(f)));
+    }
   }
   return out;
 }
 
-RunResult RunLinkScenario(const LinkParams& p) {
-  Network net(Network::Params{.seed = p.seed});
-  net.UseLogDistanceLoss(3.0);
-  if (p.rayleigh_fading) {
-    net.UseRayleighFading();
-  }
-  Node* ap = net.AddNode({.role = MacRole::kAp, .standard = p.standard, .ssid = "f1"});
-  Node* sta = net.AddNode({.role = MacRole::kSta,
-                           .standard = p.standard,
-                           .ssid = "f1",
-                           .position = {p.distance, 0, 0}});
-  if (p.controller.empty()) {
-    const auto modes = ModesFor(p.standard);
-    if (p.rate_index >= modes.size()) {
-      throw std::invalid_argument("rate_index " + std::to_string(p.rate_index) +
-                                  " out of range: " + ToString(p.standard) + " has " +
-                                  std::to_string(modes.size()) + " modes");
-    }
-    sta->SetRateController(std::make_unique<FixedRateController>(modes[p.rate_index]));
-  } else {
-    auto controller = MakeRateController(p.controller, p.standard, net.ForkRng("rate"));
-    if (controller == nullptr) {
-      throw std::invalid_argument("unknown rate controller '" + p.controller + "'");
-    }
-    sta->SetRateController(std::move(controller));
-  }
-  net.StartAll();
-  auto* app = sta->AddTraffic<SaturatedTraffic>(ap->address(), 1, p.payload);
-  app->Start(Time::Seconds(1));
-  net.Run(Time::Seconds(1) + p.sim_time);
-  RunResult r;
-  r.goodput_mbps = net.flow_stats().GoodputMbps();
-  r.loss_rate = net.flow_stats().LossRate();
-  r.mean_delay_ms = MeanDelayMs(net.flow_stats());
-  r.retries = sta->mac().counters().retries;
-  r.tx_attempts = sta->mac().counters().tx_data_attempts;
-  r.rx_ok = ap->mac().counters().rx_data;
-  return r;
-}
-
-DenseMultiBssResult RunDenseMultiBssScenario(const DenseMultiBssParams& p) {
-  Network net(Network::Params{.seed = p.seed});
-  net.UseLogDistanceLoss(3.0);
-
-  const auto modes = ModesFor(p.standard);
-  const WifiMode fixed = modes.back();
-  const size_t n_bss = std::max<size_t>(p.n_bss, 1);
-  const size_t side = static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(n_bss))));
-
-  struct Bss {
-    Node* ap;
-    std::vector<Node*> stas;
-  };
-  std::vector<Bss> bsss;
-  for (size_t k = 0; k < n_bss; ++k) {
-    const double ap_x = static_cast<double>(k % side) * p.bss_spacing;
-    const double ap_y = static_cast<double>(k / side) * p.bss_spacing;
-    const std::string ssid = "bss" + std::to_string(k);
-    Bss bss;
-    bss.ap = net.AddNode(
-        {.role = MacRole::kAp, .standard = p.standard, .ssid = ssid, .position = {ap_x, ap_y, 0}});
-    for (size_t i = 0; i < p.stas_per_bss; ++i) {
-      const double angle = 2.0 * kPi * static_cast<double>(i) /
-                           static_cast<double>(std::max<size_t>(p.stas_per_bss, 1));
-      Node* sta = net.AddNode({.role = MacRole::kSta,
-                               .standard = p.standard,
-                               .ssid = ssid,
-                               .position = {ap_x + p.sta_radius * std::cos(angle),
-                                            ap_y + p.sta_radius * std::sin(angle), 0}});
-      sta->SetRateController(std::make_unique<FixedRateController>(fixed));
-      bss.stas.push_back(sta);
-    }
-    bsss.push_back(std::move(bss));
-  }
-  net.StartAll();
-
-  uint32_t flow_id = 1;
-  for (Bss& bss : bsss) {
-    for (Node* sta : bss.stas) {
-      sta->AddTraffic<SaturatedTraffic>(bss.ap->address(), flow_id++, p.payload)
-          ->Start(p.warmup);
-    }
-  }
-  net.Run(p.warmup + p.sim_time);
-
-  DenseMultiBssResult result;
-  RunResult& r = result.run;
-  r.goodput_mbps = net.flow_stats().GoodputMbps();
-  r.loss_rate = net.flow_stats().LossRate();
-  r.mean_delay_ms = MeanDelayMs(net.flow_stats());
-  for (const Bss& bss : bsss) {
-    r.rx_ok += bss.ap->mac().counters().rx_data;
-    for (Node* sta : bss.stas) {
-      r.retries += sta->mac().counters().retries;
-      r.tx_attempts += sta->mac().counters().tx_data_attempts;
-    }
-  }
-  // Flow ids were assigned 1..N in station creation order, so per-flow
-  // goodput doubles as per-station goodput in that same order.
-  const uint32_t n_flows = flow_id;
-  result.per_sta_mbps.reserve(n_flows - 1);
-  for (uint32_t f = 1; f < n_flows; ++f) {
-    result.per_sta_mbps.push_back(net.flow_stats().GoodputMbps(f));
-  }
-  return result;
-}
-
-CityGridResult RunCityGridScenario(const CityGridParams& p) {
-  Network net(Network::Params{.seed = p.seed});
+ReplicationResult RunCityGrid(const ParamView& params, const ReplicationContext& ctx) {
+  Network net(Network::Params{.seed = ctx.seed});
   net.UseLogDistanceLoss(3.0);  // no shadowing: the grid needs a bounded radius
-  net.SetRxCutoffDbm(p.cutoff_dbm);
-
-  const auto modes = ModesFor(p.standard);
-  const WifiMode fixed = modes.back();
-  const size_t n_bss = std::max<size_t>(p.n_bss, 1);
-  const size_t side = static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(n_bss))));
-
-  struct Bss {
-    Node* ap;
-    std::vector<Node*> stas;
-  };
-  std::vector<Bss> bsss;
-  for (size_t k = 0; k < n_bss; ++k) {
-    const double ap_x = static_cast<double>(k % side) * p.bss_spacing;
-    const double ap_y = static_cast<double>(k / side) * p.bss_spacing;
-    const std::string ssid = "bss" + std::to_string(k);
-    Bss bss;
-    bss.ap = net.AddNode(
-        {.role = MacRole::kAp, .standard = p.standard, .ssid = ssid, .position = {ap_x, ap_y, 0}});
-    for (size_t i = 0; i < p.stas_per_bss; ++i) {
-      const double angle = 2.0 * kPi * static_cast<double>(i) /
-                           static_cast<double>(std::max<size_t>(p.stas_per_bss, 1));
-      Node* sta = net.AddNode({.role = MacRole::kSta,
-                               .standard = p.standard,
-                               .ssid = ssid,
-                               .position = {ap_x + p.sta_radius * std::cos(angle),
-                                            ap_y + p.sta_radius * std::sin(angle), 0}});
-      sta->SetRateController(std::make_unique<FixedRateController>(fixed));
-      bss.stas.push_back(sta);
-    }
-    bsss.push_back(std::move(bss));
-  }
-  net.StartAll();
-
-  uint32_t flow_id = 1;
-  for (Bss& bss : bsss) {
-    for (Node* sta : bss.stas) {
-      sta->AddTraffic<SaturatedTraffic>(bss.ap->address(), flow_id++, p.payload)
-          ->Start(p.warmup);
-    }
-  }
-  net.Run(p.warmup + p.sim_time);
-
-  CityGridResult result;
-  RunResult& r = result.run;
-  r.goodput_mbps = net.flow_stats().GoodputMbps();
-  r.loss_rate = net.flow_stats().LossRate();
-  r.mean_delay_ms = MeanDelayMs(net.flow_stats());
-  for (const Bss& bss : bsss) {
-    r.rx_ok += bss.ap->mac().counters().rx_data;
-    for (Node* sta : bss.stas) {
-      r.retries += sta->mac().counters().retries;
-      r.tx_attempts += sta->mac().counters().tx_data_attempts;
-    }
-  }
+  net.SetRxCutoffDbm(params.GetDouble("cutoff_dbm"));
+  ReplicationResult out = RunBssGrid(net, params);
+  // Only channel totals fixed by the topology and the cutoff are metrics;
+  // the grid's work counters (candidates visited, grid rebuilds) depend on
+  // how it prunes and stay out of the output.
   const Channel::SendStats& cs = net.channel().send_stats();
-  result.channel_sends = cs.sends;
-  result.channel_offers = cs.offers;
-  return result;
+  out.metrics["channel_sends"] = static_cast<double>(cs.sends);
+  out.metrics["channel_offers"] = static_cast<double>(cs.offers);
+  out.metrics["offers_per_send"] =
+      cs.sends == 0 ? 0.0 : static_cast<double>(cs.offers) / static_cast<double>(cs.sends);
+  return out;
 }
 
-RunResult RunIsmInterferenceScenario(const IsmParams& p) {
-  Network net(Network::Params{.seed = p.seed});
+ReplicationResult RunIsmInterference(const ParamView& params, const ReplicationContext& ctx) {
+  const PhyStandard standard = ParseStandard(params.GetString("standard"));
+  const double oven_distance = params.GetDouble("oven_distance");
+
+  Network net(Network::Params{.seed = ctx.seed});
   net.UseLogDistanceLoss(3.0);
-  Node* rx = net.AddNode({.role = MacRole::kAdhoc, .standard = p.standard});
-  Node* tx =
-      net.AddNode({.role = MacRole::kAdhoc, .standard = p.standard, .position = {12, 0, 0}});
-  tx->SetRateController(std::make_unique<FixedRateController>(ModesFor(p.standard).back()));
+  Node* rx = net.AddNode({.role = MacRole::kAdhoc, .standard = standard});
+  Node* tx = net.AddNode({.role = MacRole::kAdhoc, .standard = standard, .position = {12, 0, 0}});
+  tx->SetRateController(std::make_unique<FixedRateController>(ModesFor(standard).back()));
   net.StartAll();
 
   std::unique_ptr<MicrowaveOven> oven;
-  if (p.oven_distance > 0) {
+  if (oven_distance > 0) {
     MicrowaveOven::Config oc;
-    oc.position = {-p.oven_distance, 0, 0};
+    oc.position = {-oven_distance, 0, 0};
     oc.channel_number = 1;  // the oven lives in the 2.4 GHz band
     oven = std::make_unique<MicrowaveOven>(&net.sim(), &net.channel(), 99, oc);
     oven->Start(Time::Millis(500));
   }
   // 802.11a rides channel 36 (5 GHz): out of the oven's band.
-  if (p.standard == PhyStandard::k80211a) {
+  if (standard == PhyStandard::k80211a) {
     rx->phy().SetChannelNumber(36);
     tx->phy().SetChannelNumber(36);
   }
 
-  tx->AddTraffic<SaturatedTraffic>(rx->address(), 1, 1200)->Start(Time::Seconds(1));
-  net.Run(Time::Seconds(1) + p.sim_time);
-
-  RunResult r;
-  r.goodput_mbps = net.flow_stats().GoodputMbps(1);
-  r.loss_rate = net.flow_stats().LossRate(1);
-  r.retries = tx->mac().counters().retries;
-  r.tx_attempts = tx->mac().counters().tx_data_attempts;
-  r.rx_ok = rx->packets_received();
-  return r;
+  tx->AddTraffic<SaturatedTraffic>(rx->address(), 1, 1200)->Start(kWarmup);
+  net.Run(kWarmup + SimTime(params));
+  return WifiMetrics(net.flow_stats().GoodputMbps(1), net.flow_stats().LossRate(1), 0.0, {tx},
+                     rx->packets_received());
 }
 
-SensorCoexistenceResult RunSensorCoexistenceScenario(const SensorCoexistenceParams& p) {
-  Network net(Network::Params{.seed = p.seed});
+ReplicationResult RunSensorCoexistence(const ParamView& params, const ReplicationContext& ctx) {
+  constexpr double kStaDistance = 10.0;
+  const PhyStandard standard = ParseStandard(params.GetString("standard"));
+  const uint64_t n_stas = params.GetUint("n_stas");
+  const uint64_t n_sensors = params.GetUint("n_sensors");
+  const double sensor_radius = params.GetDouble("sensor_radius");
+  const double cluster_offset = params.GetDouble("cluster_offset");  // sink's x-offset from the AP
+  const Time report_interval =
+      Time::Millis(static_cast<int64_t>(params.GetDouble("report_interval_ms")));
+  const size_t payload = params.GetUint("payload");
+
+  Network net(Network::Params{.seed = ctx.seed});
   net.UseLogDistanceLoss(3.0);
 
   // The WiFi BSS: AP at the origin, saturated uplink stations on a circle.
-  Node* ap = net.AddNode({.role = MacRole::kAp, .standard = p.standard, .ssid = "coex"});
-  const WifiMode fixed = ModesFor(p.standard).back();
+  Node* ap = net.AddNode({.role = MacRole::kAp, .standard = standard, .ssid = "coex"});
+  const WifiMode fixed = ModesFor(standard).back();
   std::vector<Node*> stas;
-  for (size_t i = 0; i < p.n_stas; ++i) {
-    const double angle = 2.0 * kPi * static_cast<double>(i) /
-                         static_cast<double>(std::max<size_t>(p.n_stas, 1));
+  for (uint64_t i = 0; i < n_stas; ++i) {
+    const double angle =
+        2.0 * kPi * static_cast<double>(i) / static_cast<double>(std::max<uint64_t>(n_stas, 1));
     Node* sta = net.AddNode({.role = MacRole::kSta,
-                             .standard = p.standard,
+                             .standard = standard,
                              .ssid = "coex",
-                             .position = {p.sta_distance * std::cos(angle),
-                                          p.sta_distance * std::sin(angle), 0}});
+                             .position = {kStaDistance * std::cos(angle),
+                                          kStaDistance * std::sin(angle), 0}});
     sta->SetRateController(std::make_unique<FixedRateController>(fixed));
     stas.push_back(sta);
   }
@@ -438,134 +495,136 @@ SensorCoexistenceResult RunSensorCoexistenceScenario(const SensorCoexistencePara
   // The sensor cluster: a silent sink offset from the AP, reporters on a
   // circle around it. Node ids start at 200 to stay clear of the BSS.
   SensorRadio::Config sink_cfg;
-  sink_cfg.position = {p.cluster_offset, 0, 0};
+  sink_cfg.position = {cluster_offset, 0, 0};
   SensorRadio sink(&net.sim(), &net.channel(), 200, sink_cfg);
   std::vector<std::unique_ptr<SensorRadio>> sensors;
-  for (size_t i = 0; i < p.n_sensors; ++i) {
+  for (uint64_t i = 0; i < n_sensors; ++i) {
     const double angle = 2.0 * kPi * static_cast<double>(i) /
-                         static_cast<double>(std::max<size_t>(p.n_sensors, 1));
+                         static_cast<double>(std::max<uint64_t>(n_sensors, 1));
     SensorRadio::Config sc;
-    sc.position = {p.cluster_offset + p.sensor_radius * std::cos(angle),
-                   p.sensor_radius * std::sin(angle), 0};
+    sc.position = {cluster_offset + sensor_radius * std::cos(angle),
+                   sensor_radius * std::sin(angle), 0};
     sensors.push_back(std::make_unique<SensorRadio>(&net.sim(), &net.channel(),
                                                     static_cast<uint32_t>(201 + i), sc));
-    sensors.back()->StartReporting(p.warmup, p.report_interval);
+    sensors.back()->StartReporting(kWarmup, report_interval);
   }
 
   std::unique_ptr<LoraInterferer> jammer;
-  if (p.with_jammer) {
+  if (params.GetBool("with_jammer")) {
     LoraInterferer::Config jc;
-    jc.position = {p.cluster_offset, p.sensor_radius, 0};  // inside the cluster
-    jc.duty_pct = p.jammer_duty_pct;
+    jc.position = {cluster_offset, sensor_radius, 0};  // inside the cluster
+    jc.duty_pct = params.GetDouble("jammer_duty_pct");
     jammer = std::make_unique<LoraInterferer>(&net.sim(), &net.channel(), 250, jc);
-    jammer->Start(p.warmup);
+    jammer->Start(kWarmup);
   }
 
   for (size_t i = 0; i < stas.size(); ++i) {
     stas[i]
-        ->AddTraffic<SaturatedTraffic>(ap->address(), static_cast<uint32_t>(i + 1), p.payload)
-        ->Start(p.warmup);
+        ->AddTraffic<SaturatedTraffic>(ap->address(), static_cast<uint32_t>(i + 1), payload)
+        ->Start(kWarmup);
   }
-  net.Run(p.warmup + p.sim_time);
+  net.Run(kWarmup + SimTime(params));
 
-  SensorCoexistenceResult r;
-  r.wifi.goodput_mbps = net.flow_stats().GoodputMbps();
-  r.wifi.loss_rate = net.flow_stats().LossRate();
-  r.wifi.mean_delay_ms = MeanDelayMs(net.flow_stats());
-  for (Node* sta : stas) {
-    r.wifi.retries += sta->mac().counters().retries;
-    r.wifi.tx_attempts += sta->mac().counters().tx_data_attempts;
-  }
-  r.wifi.rx_ok = ap->mac().counters().rx_data;
+  ReplicationResult out = AllFlowMetrics(net, stas, ap->mac().counters().rx_data);
+  uint64_t reports_sent = 0;
+  uint64_t csma_deferrals = 0;
+  uint64_t csma_drops = 0;
   for (const auto& s : sensors) {
-    r.sensor_reports_sent += s->counters().reports_sent;
-    r.sensor_csma_deferrals += s->counters().csma_deferrals;
-    r.sensor_csma_drops += s->counters().csma_drops;
+    reports_sent += s->counters().reports_sent;
+    csma_deferrals += s->counters().csma_deferrals;
+    csma_drops += s->counters().csma_drops;
   }
-  r.sensor_rx_ok = sink.counters().rx_ok;
-  r.sensor_rx_lost_sinr = sink.counters().rx_lost_sinr;
-  r.sensor_delivery_ratio =
-      r.sensor_reports_sent == 0
-          ? 0.0
-          : static_cast<double>(r.sensor_rx_ok) / static_cast<double>(r.sensor_reports_sent);
-  r.jammer_chirps = jammer ? jammer->chirps_emitted() : 0;
-  return r;
+  const uint64_t sink_rx_ok = sink.counters().rx_ok;
+  out.metrics["sensor_reports_sent"] = static_cast<double>(reports_sent);
+  out.metrics["sensor_rx_ok"] = static_cast<double>(sink_rx_ok);
+  out.metrics["sensor_rx_lost_sinr"] = static_cast<double>(sink.counters().rx_lost_sinr);
+  out.metrics["sensor_csma_deferrals"] = static_cast<double>(csma_deferrals);
+  out.metrics["sensor_csma_drops"] = static_cast<double>(csma_drops);
+  out.metrics["sensor_delivery_ratio"] =
+      reports_sent == 0 ? 0.0
+                        : static_cast<double>(sink_rx_ok) / static_cast<double>(reports_sent);
+  out.metrics["jammer_chirps"] = static_cast<double>(jammer ? jammer->chirps_emitted() : 0);
+  return out;
 }
 
-LoraCoexistenceResult RunLoraCoexistenceScenario(const LoraCoexistenceParams& p) {
-  Network net(Network::Params{.seed = p.seed});
+ReplicationResult RunLoraCoexistence(const ParamView& params, const ReplicationContext& ctx) {
+  const PhyStandard standard = ParseStandard(params.GetString("standard"));
+  const Time airtime = Time::Millis(static_cast<int64_t>(params.GetDouble("airtime_ms")));
+  const Time sim_time = SimTime(params);
+
+  Network net(Network::Params{.seed = ctx.seed});
   net.UseLogDistanceLoss(3.0);
-  Node* rx = net.AddNode({.role = MacRole::kAdhoc, .standard = p.standard});
-  Node* tx =
-      net.AddNode({.role = MacRole::kAdhoc, .standard = p.standard, .position = {12, 0, 0}});
-  tx->SetRateController(std::make_unique<FixedRateController>(ModesFor(p.standard).back()));
+  Node* rx = net.AddNode({.role = MacRole::kAdhoc, .standard = standard});
+  Node* tx = net.AddNode({.role = MacRole::kAdhoc, .standard = standard, .position = {12, 0, 0}});
+  tx->SetRateController(std::make_unique<FixedRateController>(ModesFor(standard).back()));
   net.StartAll();
 
   LoraInterferer::Config jc;
-  jc.position = {-p.jammer_distance, 0, 0};
-  jc.duty_pct = p.duty_pct;
-  jc.airtime = p.airtime;
+  jc.position = {-params.GetDouble("jammer_distance"), 0, 0};
+  jc.duty_pct = params.GetDouble("duty_pct");
+  jc.airtime = airtime;
   LoraInterferer jammer(&net.sim(), &net.channel(), 99, jc);
   jammer.Start(Time::Millis(500));
 
-  tx->AddTraffic<SaturatedTraffic>(rx->address(), 1, 1200)->Start(Time::Seconds(1));
-  net.Run(Time::Seconds(1) + p.sim_time);
+  tx->AddTraffic<SaturatedTraffic>(rx->address(), 1, 1200)->Start(kWarmup);
+  net.Run(kWarmup + sim_time);
 
-  LoraCoexistenceResult r;
-  r.wifi.goodput_mbps = net.flow_stats().GoodputMbps(1);
-  r.wifi.loss_rate = net.flow_stats().LossRate(1);
-  r.wifi.retries = tx->mac().counters().retries;
-  r.wifi.tx_attempts = tx->mac().counters().tx_data_attempts;
-  r.wifi.rx_ok = rx->packets_received();
-  r.jammer_chirps = jammer.chirps_emitted();
-  r.jammer_airtime_share =
-      static_cast<double>(jammer.chirps_emitted()) * p.airtime.seconds() / p.sim_time.seconds();
-  return r;
+  ReplicationResult out = WifiMetrics(net.flow_stats().GoodputMbps(1),
+                                      net.flow_stats().LossRate(1), 0.0, {tx},
+                                      rx->packets_received());
+  const auto chirps = static_cast<double>(jammer.chirps_emitted());
+  out.metrics["jammer_chirps"] = chirps;
+  out.metrics["jammer_airtime_share"] = chirps * airtime.seconds() / sim_time.seconds();
+  return out;
 }
 
-AdhocInfraResult RunAdhocInfraScenario(const AdhocInfraParams& p) {
-  Network net(Network::Params{.seed = p.seed});
-  net.UseLogDistanceLoss(3.0);
+ReplicationResult RunAdhocVsInfra(const ParamView& params, const ReplicationContext& ctx) {
   constexpr size_t kPayload = 1000;
   const Time interval = Time::Millis(4);  // 2 Mb/s offered per flow
+  const bool adhoc = params.GetBool("adhoc");
+  const uint64_t n_pairs = params.GetUint("n_pairs");
 
+  Network net(Network::Params{.seed = ctx.seed});
+  net.UseLogDistanceLoss(3.0);
   const WifiMode kFull = ModesFor(PhyStandard::k80211b).back();
-  if (!p.adhoc) {
+  if (!adhoc) {
     Node* ap =
         net.AddNode({.role = MacRole::kAp, .standard = PhyStandard::k80211b, .ssid = "f6"});
     ap->SetRateController(std::make_unique<FixedRateController>(kFull));
   }
   std::vector<Node*> nodes;
-  for (size_t i = 0; i < 2 * p.n_pairs; ++i) {
-    const double angle =
-        2.0 * kPi * static_cast<double>(i) / static_cast<double>(2 * p.n_pairs);
-    nodes.push_back(net.AddNode({.role = p.adhoc ? MacRole::kAdhoc : MacRole::kSta,
+  for (uint64_t i = 0; i < 2 * n_pairs; ++i) {
+    const double angle = 2.0 * kPi * static_cast<double>(i) / static_cast<double>(2 * n_pairs);
+    nodes.push_back(net.AddNode({.role = adhoc ? MacRole::kAdhoc : MacRole::kSta,
                                  .standard = PhyStandard::k80211b,
                                  .ssid = "f6",
                                  .position = {12 * std::cos(angle), 12 * std::sin(angle), 0}}));
     nodes.back()->SetRateController(std::make_unique<FixedRateController>(kFull));
   }
   net.StartAll();
-  for (size_t i = 0; i < p.n_pairs; ++i) {
+  for (uint64_t i = 0; i < n_pairs; ++i) {
     Node* src = nodes[2 * i];
     Node* dst = nodes[2 * i + 1];
     auto* app = src->AddTraffic<CbrTraffic>(dst->address(), static_cast<uint32_t>(i + 1),
                                             kPayload, interval);
-    app->Start(Time::Seconds(1) + Time::Micros(static_cast<int64_t>(137 * i)));
+    app->Start(kWarmup + Time::Micros(static_cast<int64_t>(137 * i)));
   }
-  net.Run(Time::Seconds(1) + p.sim_time);
+  net.Run(kWarmup + SimTime(params));
 
-  AdhocInfraResult r{};
-  r.offered_mbps = static_cast<double>(p.n_pairs) * kPayload * 8.0 / interval.seconds() / 1e6;
-  r.delivered_mbps = net.flow_stats().GoodputMbps();
-  r.delay_ms = MeanDelayMs(net.flow_stats());
-  return r;
+  ReplicationResult out;
+  out.metrics["offered_mbps"] =
+      static_cast<double>(n_pairs) * kPayload * 8.0 / interval.seconds() / 1e6;
+  out.metrics["delivered_mbps"] = net.flow_stats().GoodputMbps();
+  out.metrics["mean_delay_ms"] = MeanDelayMs(net.flow_stats());
+  return out;
 }
 
-CoexistenceResult RunCoexistenceScenario(const CoexistenceParams& p) {
-  Network net(Network::Params{.seed = p.seed});
+ReplicationResult RunCoexistence(const ParamView& params, const ReplicationContext& ctx) {
+  const bool protection = params.GetBool("protection");
+
+  Network net(Network::Params{.seed = ctx.seed});
   net.UseLogDistanceLoss(3.0);
-  auto g_tweak = [&p](WifiMac::Config& c) { c.cts_to_self_protection = p.protection; };
+  auto g_tweak = [protection](WifiMac::Config& c) { c.cts_to_self_protection = protection; };
 
   Node* ap = net.AddNode({.role = MacRole::kAp,
                           .standard = PhyStandard::k80211g,
@@ -580,7 +639,7 @@ CoexistenceResult RunCoexistenceScenario(const CoexistenceParams& p) {
       std::make_unique<FixedRateController>(ModesFor(PhyStandard::k80211g).back()));
 
   Node* b_sta = nullptr;
-  if (p.with_b_sta) {
+  if (params.GetBool("with_b_sta")) {
     b_sta = net.AddNode({.role = MacRole::kSta,
                          .standard = PhyStandard::k80211b,
                          .ssid = "mix",
@@ -589,20 +648,29 @@ CoexistenceResult RunCoexistenceScenario(const CoexistenceParams& p) {
         std::make_unique<FixedRateController>(ModesFor(PhyStandard::k80211b).back()));
   }
   net.StartAll();
-  g_sta->AddTraffic<SaturatedTraffic>(ap->address(), 1, 1500)->Start(Time::Seconds(1));
+  g_sta->AddTraffic<SaturatedTraffic>(ap->address(), 1, 1500)->Start(kWarmup);
   if (b_sta != nullptr) {
-    b_sta->AddTraffic<SaturatedTraffic>(ap->address(), 2, 1500)->Start(Time::Seconds(1));
+    b_sta->AddTraffic<SaturatedTraffic>(ap->address(), 2, 1500)->Start(kWarmup);
   }
-  net.Run(Time::Seconds(1) + p.sim_time);
-  return CoexistenceResult{net.flow_stats().GoodputMbps(1), net.flow_stats().GoodputMbps(2)};
+  net.Run(kWarmup + SimTime(params));
+
+  const double g_mbps = net.flow_stats().GoodputMbps(1);
+  const double b_mbps = net.flow_stats().GoodputMbps(2);
+  ReplicationResult out;
+  out.metrics["g_sta_mbps"] = g_mbps;
+  out.metrics["b_sta_mbps"] = b_mbps;
+  out.metrics["agg_mbps"] = g_mbps + b_mbps;
+  return out;
 }
 
-HiddenTerminalResult RunFragmentationScenario(const FragmentationParams& p) {
-  Network net(Network::Params{.seed = p.seed});
+ReplicationResult RunFragmentation(const ParamView& params, const ReplicationContext& ctx) {
+  const auto frag_threshold = static_cast<uint32_t>(params.GetUint("frag_threshold"));
+
+  Network net(Network::Params{.seed = ctx.seed});
   MatrixLossModel* loss = net.UseMatrixLoss(200.0);
 
-  auto frag = [&p](WifiMac::Config& c) {
-    c.frag_threshold = p.frag_threshold;
+  auto frag = [frag_threshold](WifiMac::Config& c) {
+    c.frag_threshold = frag_threshold;
     c.retry_limit = 7;
   };
   // DSSS receivers capture a ≥6 dB stronger frame during the preamble; the
@@ -621,7 +689,7 @@ HiddenTerminalResult RunFragmentationScenario(const FragmentationParams& p) {
                           .mac_tweak = frag});
   loss->SetLoss(1, 0, 75.0);  // signal at the receiver: -59 dBm
   Node* jammer = nullptr;
-  if (p.jammed) {
+  if (params.GetBool("jammed")) {
     jammer = net.AddNode({.role = MacRole::kAdhoc,
                           .standard = PhyStandard::k80211b,
                           .position = {-30, 0, 0}});
@@ -634,7 +702,7 @@ HiddenTerminalResult RunFragmentationScenario(const FragmentationParams& p) {
   tx->SetRateController(
       std::make_unique<FixedRateController>(ModesFor(PhyStandard::k80211b).back()));
   net.StartAll();
-  tx->AddTraffic<SaturatedTraffic>(rx->address(), 1, 2000)->Start(Time::Seconds(1));
+  tx->AddTraffic<SaturatedTraffic>(rx->address(), 1, 2000)->Start(kWarmup);
   if (jammer != nullptr) {
     // Poisson bursts: 400 B broadcasts (~480 us air) at 250/s — ~12 % duty,
     // arrivals memoryless so fragment retries re-roll the overlap dice.
@@ -643,18 +711,10 @@ HiddenTerminalResult RunFragmentationScenario(const FragmentationParams& p) {
     jammer
         ->AddTraffic<PoissonTraffic>(MacAddress::Broadcast(), 99, 400, 250.0,
                                      net.ForkRng("jam"))
-        ->Start(Time::Seconds(1));
+        ->Start(kWarmup);
   }
-  net.Run(Time::Seconds(1) + p.sim_time);
-
-  HiddenTerminalResult r;
-  r.goodput_mbps = net.flow_stats().GoodputMbps(1);
-  const uint64_t retries = tx->mac().counters().retries;
-  const uint64_t attempts = tx->mac().counters().tx_data_attempts;
-  r.drops = tx->mac().counters().tx_data_dropped;
-  r.retry_rate = attempts ? static_cast<double>(retries) / static_cast<double>(attempts) : 0.0;
-  r.drop_rate = attempts ? static_cast<double>(r.drops) / static_cast<double>(attempts) : 0.0;
-  return r;
+  net.Run(kWarmup + SimTime(params));
+  return RetryMetrics(net.flow_stats().GoodputMbps(1), {tx});
 }
 
 RoamingResult RunRoamingScenario(const RoamingParams& p) {

@@ -404,16 +404,19 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "--json/--reps-csv are not supported in sweep mode; use --csv\n");
       return 1;
     }
-    try {
-      for (const std::string& spec : sweep_specs) {
-        options.grid.AddAxis(ParseSweepAxis(spec));
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
   } else if (!shard_spec.empty()) {
     std::fprintf(stderr, "--shard requires at least one --sweep axis\n");
+    return 1;
+  }
+  // A refused run creates no output file, so it cannot truncate one a
+  // previous run left at the same path.
+  try {
+    for (const std::string& spec : sweep_specs) {
+      options.grid.AddAxis(ParseSweepAxis(spec));
+    }
+    ValidateSweepOptions(options);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
   return Run(options, csv_path, json_path, reps_csv_path, binary_out_path, quiet, verbose);

@@ -7,8 +7,8 @@ namespace wlansim {
 namespace {
 
 // All flushed names funnel through here so a collision between any two
-// sources (counter vs returned scalar, gauge-derived vs histogram-derived,
-// ...) is caught instead of silently overwriting one of them.
+// sources (returned scalar vs gauge-derived, gauge-derived vs
+// histogram-derived, ...) is caught instead of silently overwriting one.
 void EmitMetric(std::map<std::string, double>& metrics, const std::string& name, double value) {
   if (!metrics.emplace(name, value).second) {
     throw std::logic_error("metric '" + name + "' recorded more than once in one replication");
@@ -16,14 +16,6 @@ void EmitMetric(std::map<std::string, double>& metrics, const std::string& name,
 }
 
 }  // namespace
-
-void MetricRecorder::AddCount(const std::string& name, double delta) {
-  counters_[name] += delta;
-}
-
-void MetricRecorder::SetScalar(const std::string& name, double value) {
-  scalars_[name] = value;
-}
 
 void MetricRecorder::AddSample(const std::string& name, double value) {
   gauges_[name].Add(value);
@@ -53,12 +45,6 @@ ReplicationRecord MetricRecorder::Finish(uint64_t replication,
                                          const ReplicationResult& returned) const {
   ReplicationRecord record;
   record.replication = replication;
-  for (const auto& [name, value] : counters_) {
-    EmitMetric(record.metrics, name, value);
-  }
-  for (const auto& [name, value] : scalars_) {
-    EmitMetric(record.metrics, name, value);
-  }
   for (const auto& [name, summary] : gauges_) {
     EmitMetric(record.metrics, name + "_count", static_cast<double>(summary.count()));
     EmitMetric(record.metrics, name + "_mean", summary.mean());

@@ -1,11 +1,10 @@
 // The recording half of the results pipeline. A MetricRecorder is handed to
-// Scenario::Run through ReplicationContext so a scenario can emit metrics
-// *during* a replication — counters, last-value scalars, streamed gauge
-// samples, and fixed-bin histograms — instead of being limited to the
-// scalar map Run() returns. When the replication finishes, Finish() folds
-// everything recorded (plus the scalars Run() returned, which keeps every
-// pre-recorder scenario working unmodified) into one ReplicationRecord, the
-// row the engine appends to its grid point's WLSR GroupEncoder.
+// Scenario::Run through ReplicationContext so a scenario can emit what a
+// scalar cannot carry *during* a replication: streamed gauge samples and
+// fixed-bin histograms. Scalars have one way in, the map Run() returns.
+// When the replication finishes, Finish() folds the recorded gauges and
+// histograms plus that map into one ReplicationRecord, the row the engine
+// appends to its grid point's WLSR GroupEncoder.
 
 #ifndef WLANSIM_RUNNER_METRIC_RECORDER_H_
 #define WLANSIM_RUNNER_METRIC_RECORDER_H_
@@ -51,7 +50,6 @@ struct ReplicationRecord {
 //
 // Flush rules (applied by Finish, documented here because the CSV column
 // set follows from them):
-//   - counters and scalars become metrics under their own name;
 //   - a gauge named G becomes G_count / G_mean / G_min / G_max;
 //   - a histogram named H becomes H_p10 / H_p50 / H_p90 (interpolated bin
 //     quantiles) plus H_mean / H_min / H_max, and its full bin vector rides
@@ -61,13 +59,6 @@ struct ReplicationRecord {
 // silently overwritten metric is a campaign-correctness bug.
 class MetricRecorder {
  public:
-  // Accumulating counter (created at zero on first use).
-  void AddCount(const std::string& name, double delta = 1.0);
-
-  // Last-value scalar; overwriting via SetScalar is allowed (that is the
-  // point of a gauge-style scalar), colliding with another source is not.
-  void SetScalar(const std::string& name, double value);
-
   // Streamed gauge sample: O(1) memory per gauge (Welford summary).
   void AddSample(const std::string& name, double value);
 
@@ -77,10 +68,6 @@ class MetricRecorder {
 
   // Adds to a declared histogram; throws std::logic_error when undeclared.
   void AddHistogramSample(const std::string& name, double value);
-
-  bool empty() const {
-    return counters_.empty() && scalars_.empty() && gauges_.empty() && histograms_.empty();
-  }
 
   // Folds everything recorded plus `returned` into the replication's record.
   // Throws std::logic_error on any metric-name collision.
@@ -92,8 +79,6 @@ class MetricRecorder {
     Summary summary;
   };
 
-  std::map<std::string, double> counters_;
-  std::map<std::string, double> scalars_;
   std::map<std::string, Summary> gauges_;
   std::map<std::string, HistogramState> histograms_;
 };

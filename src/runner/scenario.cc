@@ -1,14 +1,17 @@
 #include "runner/scenario.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace wlansim {
 namespace {
 
-// `text` parsed as `type`: the ParamValue alternative at index `type`.
-// Throws std::invalid_argument naming `key` when it does not parse.
-ParamValue Parse(std::string_view key, ParamType type, const std::string& text) {
-  const char* expected = "a number";
+// `text` parsed as `spec`'s type: the ParamValue alternative at index
+// `spec.type`. Throws std::invalid_argument naming the parameter when it
+// does not parse or is not one of the spec's allowed values.
+ParamValue Parse(const ParamSpec& spec, const std::string& text) {
+  const ParamType type = spec.type;
+  std::string expected = "a number";
   try {
     size_t consumed = 0;
     switch (type) {
@@ -46,12 +49,21 @@ ParamValue Parse(std::string_view key, ParamType type, const std::string& text) 
         break;
       }
       case ParamType::kString:
-        return text;
+        if (spec.allowed.empty() ||
+            std::find(spec.allowed.begin(), spec.allowed.end(), text) != spec.allowed.end()) {
+          return text;
+        }
+        expected = "one of";
+        for (const char* sep = " '"; const std::string& value : spec.allowed) {
+          expected += sep + value + "'";
+          sep = ", '";
+        }
+        break;
     }
   } catch (const std::logic_error&) {  // std::stoll/std::stod: no number, or out of range
   }
-  throw std::invalid_argument("parameter '" + std::string(key) + "': cannot parse '" + text +
-                              "' as " + expected);
+  throw std::invalid_argument("parameter '" + spec.name + "': cannot parse '" + text + "' as " +
+                              expected);
 }
 
 }  // namespace
@@ -65,7 +77,7 @@ ParamValue ParamView::Value(std::string_view key, ParamType type) const {
                            (spec == nullptr ? "nowhere" : std::string(ParamTypeName(spec->type))));
   }
   auto it = values_.entries().find(key);
-  return Parse(key, type, it == values_.entries().end() ? spec->default_value : it->second);
+  return Parse(*spec, it == values_.entries().end() ? spec->default_value : it->second);
 }
 
 Scenario::Scenario(std::string name, std::string description,
@@ -79,8 +91,12 @@ Scenario::Scenario(std::string name, std::string description,
       throw std::logic_error("scenario '" + name_ + "' declares parameter '" + spec.name +
                              "' twice");
     }
+    if (!spec.allowed.empty() && spec.type != ParamType::kString) {
+      throw std::logic_error("scenario '" + name_ + "' lists allowed values for non-string "
+                             "parameter '" + spec.name + "'");
+    }
     try {
-      Parse(spec.name, spec.type, spec.default_value);
+      Parse(spec, spec.default_value);
     } catch (const std::invalid_argument& e) {
       throw std::logic_error("scenario '" + name_ + "' default: " + e.what());
     }
@@ -106,7 +122,7 @@ void Scenario::ValidateParam(const std::string& key, const std::string& value) c
     }
     throw std::invalid_argument(msg);
   }
-  Parse(key, spec->type, value);
+  Parse(*spec, value);
 }
 
 void Scenario::ValidateParams(const ScenarioParams& params) const {

@@ -8,9 +8,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -29,6 +31,8 @@ struct ParamSpec {
   ParamType type = ParamType::kString;
   std::string default_value;
   std::string help;
+  // kString only: the values the parameter accepts (empty = any string).
+  std::vector<std::string> allowed = {};
 };
 
 // "bool", "int", "uint", "double" or "string": `--describe`'s type column.
@@ -41,6 +45,10 @@ inline std::string_view ParamTypeName(ParamType type) {
 // by Scenario::ValidateParams, read through a ParamView.
 class ScenarioParams {
  public:
+  ScenarioParams() = default;
+  ScenarioParams(std::initializer_list<std::pair<const std::string, std::string>> entries)
+      : entries_(entries) {}
+
   void Set(std::string key, std::string value) { entries_[std::move(key)] = std::move(value); }
   bool Has(const std::string& key) const { return entries_.count(key) != 0; }
 
@@ -65,10 +73,10 @@ class MetricRecorder;
 struct ReplicationContext {
   uint64_t seed = 1;
   uint64_t replication = 0;
-  // Richer-than-scalar metric channel (counters, gauge samples, histograms),
-  // owned by the campaign runner. Null when the caller only collects the
-  // Run() return value (direct builder/bench invocations), so scenarios must
-  // guard uses: `if (ctx.recorder != nullptr) ...`.
+  // Richer-than-scalar metric channel (gauge samples, histograms), owned by
+  // the campaign runner or RunScenarioOnce. Null when the caller collects
+  // only the Run() return value, so scenarios must guard uses:
+  // `if (ctx.recorder != nullptr) ...`.
   MetricRecorder* recorder = nullptr;
 };
 
@@ -114,8 +122,8 @@ class Scenario {
  public:
   using RunFn = std::function<ReplicationResult(const ParamView&, const ReplicationContext&)>;
 
-  // Throws std::logic_error on a duplicate parameter name or a default that
-  // does not parse as its type.
+  // Throws std::logic_error on a duplicate parameter name, a default that
+  // does not parse as its type, or an `allowed` list on a non-string spec.
   Scenario(std::string name, std::string description, std::vector<ParamSpec> param_specs,
            RunFn fn);
 
@@ -133,8 +141,8 @@ class Scenario {
   }
 
   // Throws std::invalid_argument when `key` is not declared (a typo must not
-  // silently run the default configuration N times) or `value` does not
-  // parse as its type.
+  // silently run the default configuration N times), `value` does not parse
+  // as its type, or it is not one of the spec's `allowed` values.
   void ValidateParam(const std::string& key, const std::string& value) const;
   // ValidateParam over every supplied parameter.
   void ValidateParams(const ScenarioParams& params) const;

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "runner/metric_recorder.h"
+
 namespace wlansim {
 
 void ScenarioRegistry::Register(std::string name, std::string description,
@@ -35,6 +37,18 @@ ScenarioRegistry& ScenarioRegistry::Global() {
     return r;
   }();
   return *registry;
+}
+
+ReplicationResult RunScenarioOnce(std::string_view name, const ScenarioParams& params,
+                                  uint64_t seed) {
+  const Scenario* scenario = ScenarioRegistry::Global().Find(name);
+  if (scenario == nullptr) {
+    throw std::invalid_argument("unknown scenario '" + std::string(name) + "'");
+  }
+  scenario->ValidateParams(params);
+  MetricRecorder recorder;
+  const ReplicationContext ctx{.seed = seed, .replication = 0, .recorder = &recorder};
+  return {recorder.Finish(0, scenario->Run(params, ctx)).metrics};
 }
 
 }  // namespace wlansim

@@ -6,6 +6,7 @@
 #ifndef WLANSIM_RUNNER_SCENARIO_REGISTRY_H_
 #define WLANSIM_RUNNER_SCENARIO_REGISTRY_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -37,6 +38,14 @@ class ScenarioRegistry {
 
 // Implemented in scenarios.cc: registers every built-in scenario.
 void RegisterBuiltinScenarios(ScenarioRegistry& registry);
+
+// One replication of the globally registered scenario `name` with `params`
+// and `seed`, outside any campaign: how a bench or a test runs a scenario.
+// Returns the metric map a campaign replication with that seed records,
+// recorder-derived columns included. Throws std::invalid_argument on an
+// unknown scenario, an undeclared key or a malformed value, before running.
+ReplicationResult RunScenarioOnce(std::string_view name, const ScenarioParams& params,
+                                  uint64_t seed);
 
 }  // namespace wlansim
 

@@ -326,7 +326,7 @@ uint64_t SweepPointSeed(uint64_t base_seed,
   return SubstreamSeed(base_seed, stream, 0);
 }
 
-void RunSweepCampaign(const SweepOptions& options) {
+const Scenario& ValidateSweepOptions(const SweepOptions& options) {
   for (const SweepAxis& axis : options.grid.axes()) {
     if (options.base_params.Has(axis.key)) {
       throw std::invalid_argument("parameter '" + axis.key +
@@ -336,25 +336,33 @@ void RunSweepCampaign(const SweepOptions& options) {
   if (options.replications == 0) {
     throw std::invalid_argument("a run needs at least one replication per grid point");
   }
-  const size_t total = options.grid.NumPoints();
-  const auto [begin, end] = ShardRange(total, options.shard_index, options.shard_count);
+  // Throws on a grid whose point count overflows or an invalid shard spec.
+  ShardRange(options.grid.NumPoints(), options.shard_index, options.shard_count);
 
-  // Validate every key, and each axis value once (not per point), before any
-  // sink sees the run, even when this shard's slice is empty.
-  const Scenario* scenario_ptr = ScenarioRegistry::Global().Find(options.scenario);
-  if (scenario_ptr == nullptr) {
+  // Every key, and each axis value once (not per point), even when this
+  // shard's slice is empty.
+  const Scenario* scenario = ScenarioRegistry::Global().Find(options.scenario);
+  if (scenario == nullptr) {
     std::string msg = "unknown scenario '" + options.scenario + "'; available:";
     for (const std::string& name : ScenarioRegistry::Global().Names()) {
       msg += " " + name;
     }
     throw std::invalid_argument(msg);
   }
-  scenario_ptr->ValidateParams(options.base_params);
+  scenario->ValidateParams(options.base_params);
   for (const SweepAxis& axis : options.grid.axes()) {
     for (const std::string& value : axis.values) {
-      scenario_ptr->ValidateParam(axis.key, value);
+      scenario->ValidateParam(axis.key, value);
     }
   }
+  return *scenario;
+}
+
+void RunSweepCampaign(const SweepOptions& options) {
+  // Before any sink sees the run.
+  const Scenario& scenario = ValidateSweepOptions(options);
+  const size_t total = options.grid.NumPoints();
+  const auto [begin, end] = ShardRange(total, options.shard_index, options.shard_count);
 
   // One global (point, rep) work queue: with per-point parallelism alone,
   // reps < jobs leaves workers idle at every grid point; flattening the
@@ -363,7 +371,6 @@ void RunSweepCampaign(const SweepOptions& options) {
   // order a task runs, so every output is byte-identical for any --jobs.
   const size_t n_points = end - begin;
   const uint64_t reps = options.replications;
-  const Scenario& scenario = *scenario_ptr;
 
   // Everything the engine holds for one grid point: its identity and
   // parameters, and its records reordered into its GroupEncoder. The worker

@@ -219,15 +219,21 @@ struct SweepOptions {
 uint64_t SweepPointSeed(uint64_t base_seed,
                         const std::vector<std::pair<std::string, std::string>>& point);
 
+// Checks `options` without running anything and returns the scenario it
+// names. Throws std::invalid_argument for an unknown scenario (the message
+// lists the registered ones), an unknown or ambiguous parameter, a base or
+// axis value that does not parse as its declared type or is not one of its
+// allowed values, an invalid shard spec, or zero replications.
+// wlansim_run calls it before creating any output file.
+const Scenario& ValidateSweepOptions(const SweepOptions& options);
+
 // Expands the grid, takes this shard's slice, and runs
 // options.replications replications of every grid point on options.jobs
-// threads, handing each finished point to options.point_sinks. Throws
-// std::invalid_argument for an unknown scenario (the message lists the
-// registered ones), an unknown or ambiguous parameter, a base or axis value
-// that does not parse as its declared type, an invalid shard spec, or zero
-// replications — all before any point sink's BeginSweep. A scenario exception, a replication whose
-// metric set differs from the first replication's, or a sink's exception is
-// rethrown on the calling thread.
+// threads, handing each finished point to options.point_sinks. Runs
+// ValidateSweepOptions first, so its errors come before any point sink's
+// BeginSweep. A scenario exception, a replication whose metric set differs
+// from the first replication's, or a sink's exception is rethrown on the
+// calling thread.
 void RunSweepCampaign(const SweepOptions& options);
 
 }  // namespace wlansim

@@ -80,21 +80,21 @@ TEST_P(BianchiVsSimulation, SaturationThroughputAgrees) {
   const uint32_t n = GetParam();
   const BianchiResult analytic = SolveBianchi(ParamsFor80211b(n, 1500));
 
-  SaturationParams sim;
-  sim.standard = PhyStandard::k80211b;
-  sim.n_stas = n;
-  sim.payload = 1500;
-  sim.distance = 10.0;
-  sim.sim_time = Time::Seconds(4);
-  sim.seed = 1000 + n;
-  const RunResult measured = RunSaturationScenario(sim);
+  const double measured_mbps = RunScenarioOnce("saturation",
+                                               {{"standard", "11b"},
+                                                {"n_stas", std::to_string(n)},
+                                                {"payload", "1500"},
+                                                {"distance", "10"},
+                                                {"sim_time_s", "4"}},
+                                               1000 + n)
+                                   .metrics.at("goodput_mbps");
 
   // The analytic model idealizes (no PHY errors, slot-synchronized
   // collisions, infinite retries); agreement within 15 % is the standard
   // validation bar for DCF simulators.
   const double analytic_mbps = analytic.throughput_bps_basic / 1e6;
-  EXPECT_NEAR(measured.goodput_mbps, analytic_mbps, 0.15 * analytic_mbps)
-      << "n=" << n << " sim=" << measured.goodput_mbps << " analytic=" << analytic_mbps;
+  EXPECT_NEAR(measured_mbps, analytic_mbps, 0.15 * analytic_mbps)
+      << "n=" << n << " sim=" << measured_mbps << " analytic=" << analytic_mbps;
 }
 
 INSTANTIATE_TEST_SUITE_P(StationSweep, BianchiVsSimulation,

@@ -75,12 +75,8 @@ TEST(ReorderBufferTest, CheckCompleteWithMissingIndicesThrows) {
 
 // --- MetricRecorder flush rules ------------------------------------------------
 
-TEST(MetricRecorderTest, FlushesCountersScalarsGaugesHistograms) {
+TEST(MetricRecorderTest, FlushesGaugesHistogramsAndReturnedScalars) {
   MetricRecorder recorder;
-  recorder.AddCount("collisions");
-  recorder.AddCount("collisions", 2.0);
-  recorder.SetScalar("offered_mbps", 4.0);
-  recorder.SetScalar("offered_mbps", 5.0);  // last set wins
   for (double v : {1.0, 2.0, 3.0, 4.0}) {
     recorder.AddSample("delay_ms", v);
   }
@@ -94,8 +90,6 @@ TEST(MetricRecorderTest, FlushesCountersScalarsGaugesHistograms) {
   const ReplicationRecord record = recorder.Finish(3, returned);
 
   EXPECT_EQ(record.replication, 3u);
-  EXPECT_DOUBLE_EQ(record.metrics.at("collisions"), 3.0);
-  EXPECT_DOUBLE_EQ(record.metrics.at("offered_mbps"), 5.0);
   EXPECT_DOUBLE_EQ(record.metrics.at("goodput"), 7.0);
   EXPECT_DOUBLE_EQ(record.metrics.at("delay_ms_count"), 4.0);
   EXPECT_DOUBLE_EQ(record.metrics.at("delay_ms_mean"), 2.5);
@@ -115,15 +109,15 @@ TEST(MetricRecorderTest, FlushesCountersScalarsGaugesHistograms) {
 TEST(MetricRecorderTest, NameCollisionsThrow) {
   {
     MetricRecorder recorder;
-    recorder.AddCount("goodput");
+    recorder.AddSample("x", 1.0);  // flushes x_mean
     ReplicationResult returned;
-    returned.metrics["goodput"] = 1.0;  // collides with the counter
+    returned.metrics["x_mean"] = 2.0;  // collides with the gauge derivation
     EXPECT_THROW(recorder.Finish(0, returned), std::logic_error);
   }
   {
     MetricRecorder recorder;
-    recorder.AddSample("x", 1.0);     // flushes x_mean
-    recorder.SetScalar("x_mean", 2.0);  // collides with the gauge derivation
+    recorder.AddSample("h", 1.0);  // flushes h_mean
+    recorder.DeclareHistogram("h", 0.0, 1.0, 4);  // flushes h_mean too
     EXPECT_THROW(recorder.Finish(0, {}), std::logic_error);
   }
 }

@@ -18,7 +18,6 @@
 #include "phy/propagation.h"
 #include "phy/wifi_phy.h"
 #include "results/binary_reader.h"
-#include "runner/builders.h"
 #include "runner/scenario_registry.h"
 #include "runner/sweep.h"
 #include "tests/run_support.h"
@@ -264,26 +263,23 @@ TEST(RadioSeam, FanOutSharesOneBufferAcrossReceivers) {
 // The heterogeneous scenarios are registered and replicable: same seed,
 // same numbers, independent of everything that ran before.
 TEST(RadioSeam, CoexistenceBuildersAreDeterministic) {
-  SensorCoexistenceParams sp;
-  sp.sim_time = Time::Seconds(1);
-  sp.with_jammer = true;
-  const SensorCoexistenceResult a = RunSensorCoexistenceScenario(sp);
-  const SensorCoexistenceResult b = RunSensorCoexistenceScenario(sp);
-  EXPECT_GT(a.sensor_reports_sent, 0u);
-  EXPECT_GT(a.jammer_chirps, 0u);
-  EXPECT_GT(a.wifi.goodput_mbps, 0.0);
-  EXPECT_EQ(a.sensor_reports_sent, b.sensor_reports_sent);
-  EXPECT_EQ(a.sensor_rx_ok, b.sensor_rx_ok);
-  EXPECT_DOUBLE_EQ(a.wifi.goodput_mbps, b.wifi.goodput_mbps);
+  const ScenarioParams sp = {{"sim_time_s", "1"}, {"with_jammer", "true"}};
+  const auto a = RunScenarioOnce("sensor_coexistence", sp, 1).metrics;
+  const auto b = RunScenarioOnce("sensor_coexistence", sp, 1).metrics;
+  EXPECT_GT(a.at("sensor_reports_sent"), 0.0);
+  EXPECT_GT(a.at("jammer_chirps"), 0.0);
+  EXPECT_GT(a.at("goodput_mbps"), 0.0);
+  EXPECT_EQ(a.at("sensor_reports_sent"), b.at("sensor_reports_sent"));
+  EXPECT_EQ(a.at("sensor_rx_ok"), b.at("sensor_rx_ok"));
+  EXPECT_DOUBLE_EQ(a.at("goodput_mbps"), b.at("goodput_mbps"));
 
-  LoraCoexistenceParams lp;
-  lp.sim_time = Time::Seconds(1);
-  lp.duty_pct = 10.0;  // 600 ms period: several chirps inside one second
-  const LoraCoexistenceResult c = RunLoraCoexistenceScenario(lp);
-  const LoraCoexistenceResult d = RunLoraCoexistenceScenario(lp);
-  EXPECT_GT(c.jammer_chirps, 0u);
-  EXPECT_GT(c.wifi.goodput_mbps, 0.0);
-  EXPECT_DOUBLE_EQ(c.wifi.goodput_mbps, d.wifi.goodput_mbps);
+  // duty_pct=10: 600 ms period, several chirps inside one second.
+  const ScenarioParams lp = {{"sim_time_s", "1"}, {"duty_pct", "10"}};
+  const auto c = RunScenarioOnce("lora_coexistence", lp, 19).metrics;
+  const auto d = RunScenarioOnce("lora_coexistence", lp, 19).metrics;
+  EXPECT_GT(c.at("jammer_chirps"), 0.0);
+  EXPECT_GT(c.at("goodput_mbps"), 0.0);
+  EXPECT_DOUBLE_EQ(c.at("goodput_mbps"), d.at("goodput_mbps"));
 }
 
 // Campaign determinism across --jobs for a heterogeneous scenario: the

@@ -112,6 +112,41 @@ TEST(ScenarioParams, MalformedValuesThrow) {
   EXPECT_NO_THROW(scenario.ValidateParams(any_string));
 }
 
+TEST(ParamTable, AllowedValuesRefuseEveryOtherString) {
+  const Scenario scenario("enum", "one listed string",
+                          {{"mode", ParamType::kString, "", "mode", {"", "fast", "slow"}}},
+                          RunNothing);
+  for (const char* ok : {"", "fast", "slow"}) {
+    EXPECT_NO_THROW(scenario.ValidateParam("mode", ok)) << ok;
+  }
+  try {
+    scenario.ValidateParam("mode", "medium");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "parameter 'mode': cannot parse 'medium' as one of '', 'fast', 'slow'");
+  }
+  const ScenarioParams medium = {{"mode", "medium"}};
+  EXPECT_THROW(ParamView(scenario, medium).GetString("mode"), std::invalid_argument);
+  // A default outside the list, or a list on a non-string spec, is a bug.
+  EXPECT_THROW(Scenario("bad", "", {{"mode", ParamType::kString, "x", "", {"a"}}}, RunNothing),
+               std::logic_error);
+  EXPECT_THROW(Scenario("bad", "", {{"n", ParamType::kUint, "1", "", {"1"}}}, RunNothing),
+               std::logic_error);
+}
+
+TEST(ParamTable, BuiltinEnumValuesAreCheckedAtTheDoor) {
+  const ScenarioRegistry& registry = ScenarioRegistry::Global();
+  const Scenario& saturation = *registry.Find("saturation");
+  EXPECT_NO_THROW(saturation.ValidateParam("standard", "802.11g"));
+  EXPECT_THROW(saturation.ValidateParam("standard", "11z"), std::invalid_argument);
+  EXPECT_NO_THROW(saturation.ValidateParam("cipher", "ccmp"));
+  EXPECT_THROW(saturation.ValidateParam("cipher", "rot13"), std::invalid_argument);
+  const Scenario& link = *registry.Find("rate_vs_distance");
+  EXPECT_NO_THROW(link.ValidateParam("controller", ""));  // fixed rate
+  EXPECT_NO_THROW(link.ValidateParam("controller", "minstrel"));
+  EXPECT_THROW(link.ValidateParam("controller", "foo"), std::invalid_argument);
+}
+
 TEST(ParamTable, AbsentKeysReturnTheSpecDefault) {
   ScenarioRegistry registry;
   registry.Register("defaults", "echoes its parameters", TypedScenario().param_specs(),
@@ -212,6 +247,32 @@ TEST(Registry, UnknownParameterRejected) {
   options.scenario = "saturation";
   options.base_params.Set("n_stas_typo", "4");
   EXPECT_THROW(RunSweepCampaign(options), std::invalid_argument);
+}
+
+// --- RunScenarioOnce: the bench and test entry point --------------------------
+
+TEST(RunScenarioOnce, MisspeltKeyOrUnknownScenarioThrows) {
+  EXPECT_THROW(RunScenarioOnce("saturation", {{"n_sta", "2"}}, 1), std::invalid_argument);
+  EXPECT_THROW(RunScenarioOnce("saturation", {{"standard", "11z"}}, 1), std::invalid_argument);
+  EXPECT_THROW(RunScenarioOnce("no_such_scenario", {}, 1), std::invalid_argument);
+}
+
+// The same metric map a campaign replication records, recorder-derived
+// columns (here the sta_hist fairness histogram) included.
+TEST(RunScenarioOnce, MatchesACampaignReplication) {
+  SweepOptions options;
+  options.scenario = "dense_multi_bss";
+  options.base_params = {{"n_bss", "2"},
+                         {"stas_per_bss", "2"},
+                         {"sta_hist", "true"},
+                         {"sim_time_s", "0.2"}};
+  options.base_seed = 5;
+  for (const uint64_t rep : {0u, 3u}) {
+    const ReplicationResult once = RunScenarioOnce(
+        options.scenario, options.base_params, SubstreamSeed(5, options.scenario, rep));
+    EXPECT_EQ(once.metrics, RunReplication(options, rep).metrics) << "rep " << rep;
+    EXPECT_EQ(once.metrics.count("per_sta_mbps_p50"), 1u);
+  }
 }
 
 // --- CI aggregation math -------------------------------------------------------

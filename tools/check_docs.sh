@@ -7,7 +7,8 @@
 #      layer cannot land without a place in the architecture map.
 #   3. Every scenario registered in src/runner/scenarios.cc must be
 #      mentioned somewhere in docs/ — the catalogue in scenarios.md cannot
-#      silently fall behind the registry.
+#      silently fall behind the registry. Fewer extracted names than
+#      Register*(registry) calls in RegisterBuiltinScenarios is an error too.
 #   4. Every CLI binary under tools/*.cc must be mentioned in docs/ or
 #      README.md — a new tool cannot land undocumented.
 #
@@ -48,14 +49,29 @@ for d in src/*/; do
 done
 
 # --- 3. every registered scenario is documented --------------------------
+# The name is the first string literal after `r.Register(`, on the same
+# line or a later one.
 scenarios=$(awk '
+  /r\.Register\(/ { pending = 1; sub(/.*r\.Register\(/, "") }
   pending && match($0, /"[a-z0-9_]+"/) {
     print substr($0, RSTART + 1, RLENGTH - 2); pending = 0
   }
-  /r\.Register\(/ { pending = 1 }
 ' src/runner/scenarios.cc)
-if [ -z "$scenarios" ]; then
+# One Register*(registry) call per scenario in RegisterBuiltinScenarios: a
+# registration shape the extraction above misses must not silently drop
+# scenarios from this check.
+registrations=$(awk '
+  /^void RegisterBuiltinScenarios\(/ { inside = 1; next }
+  inside && /^}/ { inside = 0 }
+  inside && /Register[A-Za-z]*\(registry\);/ { n++ }
+  END { print n + 0 }
+' src/runner/scenarios.cc)
+extracted=$(printf '%s' "$scenarios" | grep -c . || true)
+if [ "$extracted" -eq 0 ]; then
   complain "could not extract any scenario names from src/runner/scenarios.cc"
+elif [ "$extracted" -lt "$registrations" ]; then
+  complain "extracted $extracted scenario names from src/runner/scenarios.cc, but" \
+           "RegisterBuiltinScenarios makes $registrations Register*(registry) calls"
 fi
 for s in $scenarios; do
   if ! grep -rqw "$s" docs/; then
